@@ -1,7 +1,7 @@
 GO ?= go
 
 .PHONY: build test vet docs check generate generate-check race faultcheck soak \
-	soak-server soak-fabric soak-chaos soak-cache bench bench-baseline benchdiff \
+	soak-server soak-chaos soak-cache bench bench-baseline benchdiff \
 	bench-smoke
 
 # Seeds for the chaos soak (comma-separated).  Pinned by default so CI
@@ -44,7 +44,7 @@ generate-check: generate
 		{ echo "generated code is stale: run 'make generate' and commit"; exit 1; }
 
 # The default local gate: everything short of the long benchmarks.
-check: build generate-check docs test race soak soak-fabric soak-chaos soak-cache
+check: build generate-check docs test race soak soak-chaos soak-cache
 
 # Trace-store soak: the store's commit/fallback protocol under the race
 # detector, the harness-level cached-vs-live equivalences, then the CLI
@@ -80,25 +80,15 @@ soak: faultcheck
 	$(GO) test -race -run 'Resume|Retr|Invariant|Watchdog' ./internal/harness
 	$(GO) test -race -count 2 -run TestCLIKillResume .
 
-# Fabric soak: the distributed coordinator/worker path under the race
-# detector (lease expiry, stale-completion drops, requeue), then the two
-# CLI round-trips — a 2-worker run byte-identical to a local one, and
-# byte-identical again after one worker SIGKILLs itself mid-cell.
-soak-fabric:
-	$(GO) test -race ./internal/fabric
-	$(GO) test -race -run TestCLIFabric .
-
 # Chaos soak: the crash-consistency layer under the race detector — the
 # injectable-fault filesystem and the journal's salvage sweeps — then
-# the seeded chaos CLI round-trips: every pinned seed's fault schedule
+# the seeded chaos CLI round-trip: every pinned seed's fault schedule
 # (VM traps, analyzer panics, slow consumers, journal write faults)
-# must converge to output byte-identical to a clean run, and a
-# SIGKILLed coordinator restarted with -resume must finish its
-# distributed run byte-identical to a local one.
+# must converge to stdout and a journal byte-identical to a clean run.
 soak-chaos:
-	$(GO) test -race ./internal/iofault ./internal/journal ./internal/fabric
+	$(GO) test -race ./internal/iofault ./internal/journal
 	ILP_CHAOS_SEEDS=$(ILP_CHAOS_SEEDS) \
-		$(GO) test -race -run 'TestCLIChaosSoak|TestCLICoordinatorKillResume' .
+		$(GO) test -race -run TestCLIChaosSoak .
 
 # Service soak: the daemon under the race detector (admission, quotas,
 # single-flight cache, drain), then the live overload round-trip — a

@@ -7,9 +7,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strings"
-	"syscall"
 	"testing"
-	"time"
 )
 
 // chaosSeeds returns the soak's seed list: ILP_CHAOS_SEEDS (comma-
@@ -113,149 +111,5 @@ func TestCLIChaosSoak(t *testing.T) {
 			}
 			t.Logf("fired: %v", fired)
 		})
-	}
-}
-
-// startCoordinatorAt launches a coordinator bound to a specific
-// address, retrying while the previous (killed) incarnation's port is
-// released by the kernel.
-func startCoordinatorAt(t *testing.T, bin, addr string, args ...string) *coordProc {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		c := &coordProc{cmd: exec.Command(bin, append([]string{"-coordinator", addr}, args...)...)}
-		c.cmd.Stdout = &c.stdout
-		out, err := c.cmd.StderrPipe()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := c.cmd.Start(); err != nil {
-			t.Fatal(err)
-		}
-		buf := make([]byte, 4096)
-		var text strings.Builder
-		for c.addr == "" {
-			n, rerr := out.Read(buf)
-			text.Write(buf[:n])
-			if _, rest, ok := strings.Cut(text.String(), "coordinator listening on "); ok {
-				if i := strings.IndexByte(rest, '\n'); i >= 0 {
-					c.addr = strings.TrimSpace(rest[:i])
-				}
-			}
-			if rerr != nil {
-				break
-			}
-		}
-		c.mu.Lock()
-		c.stderr.WriteString(text.String())
-		c.mu.Unlock()
-		if c.addr != "" {
-			t.Cleanup(func() {
-				if c.cmd.ProcessState == nil {
-					_ = c.cmd.Process.Kill()
-					_ = c.cmd.Wait()
-				}
-			})
-			c.drain.Add(1)
-			go func() {
-				defer c.drain.Done()
-				buf := make([]byte, 4096)
-				for {
-					n, err := out.Read(buf)
-					c.mu.Lock()
-					c.stderr.Write(buf[:n])
-					c.mu.Unlock()
-					if err != nil {
-						return
-					}
-				}
-			}()
-			return c
-		}
-		// Bind failed (address still in TIME_WAIT teardown); reap and retry.
-		_ = c.cmd.Wait()
-		if time.Now().After(deadline) {
-			t.Fatalf("coordinator never rebound %s; stderr:\n%s", addr, text.String())
-		}
-		time.Sleep(100 * time.Millisecond)
-	}
-}
-
-// TestCLICoordinatorKillResume is the coordinator-crash acceptance
-// check: SIGKILL the coordinator after at least one distributed cell
-// completed, restart it on the same address with the same -resume
-// directory, and require the finished run's stdout and journal
-// byte-identical to an uninterrupted local run — with the original
-// worker surviving the outage on its rejoin backoff.
-func TestCLICoordinatorKillResume(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds and runs binaries")
-	}
-	bin := buildCmd(t, "ilplimit")
-	binw := buildCmd(t, "ilplimitw")
-	benches := "awk,eqntott,irsim"
-
-	dirL, dirD := t.TempDir(), t.TempDir()
-	ref, err := exec.Command(bin, "-bench", benches, "-json", "-resume", dirL).Output()
-	if err != nil {
-		t.Fatalf("reference run: %v", err)
-	}
-
-	first := startCoordinator(t, bin, "-coordinator", "127.0.0.1:0", "-bench", benches, "-json", "-resume", dirD, "-v")
-	worker := exec.Command(binw, "-coordinator", first.addr, "-id", "w1", "-rejoin", "30s", "-poll", "25ms")
-	if err := worker.Start(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Kill once the recovery journal holds at least one admitted
-	// completion: provably mid-run (cells remain), with recovery state
-	// on disk for the next incarnation.
-	recovery := filepath.Join(dirD, "coordinator.ilpj")
-	deadline := time.Now().Add(2 * time.Minute)
-	for {
-		if data, err := os.ReadFile(recovery); err == nil && bytes.Contains(data, []byte(" cell ")) {
-			break
-		}
-		if time.Now().After(deadline) {
-			_ = worker.Process.Kill()
-			t.Fatalf("no completion ever persisted to %s; coordinator stderr:\n%s", recovery, first.stderrText())
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	if err := first.cmd.Process.Kill(); err != nil {
-		t.Fatal(err)
-	}
-	_ = first.cmd.Wait()
-	first.drain.Wait()
-
-	second := startCoordinatorAt(t, bin, first.addr, "-bench", benches, "-json", "-resume", dirD, "-v")
-	if err := second.wait(); err != nil {
-		_ = worker.Process.Kill()
-		t.Fatalf("restarted coordinator: %v\n%s", err, second.stderrText())
-	}
-	if err := worker.Wait(); err != nil {
-		t.Errorf("worker across coordinator restart: %v", err)
-	}
-
-	if got := second.stdout.Bytes(); !bytes.Equal(got, ref) {
-		t.Errorf("resumed distributed stdout differs from local run (%d vs %d bytes)", len(got), len(ref))
-	}
-	jl, err := os.ReadFile(filepath.Join(dirL, "journal.ilpj"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	jd, err := os.ReadFile(filepath.Join(dirD, "journal.ilpj"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(jl, jd) {
-		t.Errorf("resumed distributed journal differs from local run (%d vs %d bytes)", len(jd), len(jl))
-	}
-	if se := second.stderrText(); !strings.Contains(se, "recovered") {
-		t.Errorf("restarted coordinator never reported recovered state:\n%s", se)
-	}
-	// The kill must really have been a SIGKILL mid-run, not a clean exit.
-	if ps := first.cmd.ProcessState; ps == nil || ps.Sys().(syscall.WaitStatus).Signal() != syscall.SIGKILL {
-		t.Errorf("first coordinator did not die to SIGKILL: %v", first.cmd.ProcessState)
 	}
 }

@@ -18,7 +18,6 @@
 //	ilplimit -resume state/          # crash-safe run: journal results, skip completed ones
 //	ilplimit -retries 2              # re-run transiently-failed benchmarks
 //	ilplimit -watchdog 30s           # detach analyzers making no chunk progress
-//	ilplimit -coordinator :7070      # distribute the suite across ilplimitw workers
 //	ilplimit -chaos 7 -resume state/ # seeded fault injection: pipeline + disk faults
 //	ilplimit -v                      # progress on stderr
 //
@@ -35,22 +34,6 @@
 // is refused.  -resume cannot be combined with -study, whose passes vary
 // the configuration per run.
 //
-// -coordinator turns the run into the coordinator of a distributed
-// fabric: instead of analyzing benchmarks in-process, it serves the
-// suite's cells over HTTP to ilplimitw worker processes and merges
-// their streamed-back results.  The rendered output — and the journal,
-// when -resume is also given — is byte-identical to a single-process
-// run of the same configuration (telemetry timings excepted).  See
-// DESIGN.md §13.
-//
-// With -resume, the coordinator additionally persists every lease grant
-// and admitted completion to a recovery journal (coordinator.ilpj) in
-// the resume directory, so a coordinator killed mid-run — even kill -9
-// — and restarted with the same -coordinator -resume flags reconstructs
-// its queue and lease table and finishes the run byte-identical to an
-// uninterrupted one.  Workers retry through the outage with jittered
-// backoff (see ilplimitw -rejoin) instead of failing their cells.
-//
 // -chaos arms a seeded fault schedule for resilience soaks: each
 // benchmark may get a deterministic VM trap, analyzer panic, or slow
 // consumer, and the -resume journal's filesystem injects a small budget
@@ -58,7 +41,7 @@
 // are transient: the run converges to byte-identical output through the
 // retry and salvage machinery it is exercising.  Implies -retries 2
 // when -retries is unset; the schedule and a fired-fault summary go to
-// stderr.  See DESIGN.md §14 and `make soak-chaos`.
+// stderr.  See DESIGN.md §13 and `make soak-chaos`.
 package main
 
 import (
@@ -74,11 +57,9 @@ import (
 	"os"
 	"runtime"
 	"strings"
-	"sync"
 	"time"
 
 	"ilplimit/internal/bench"
-	"ilplimit/internal/fabric"
 	"ilplimit/internal/faultinject"
 	"ilplimit/internal/harness"
 	"ilplimit/internal/httpserve"
@@ -92,12 +73,6 @@ import (
 // can record why a run ended before exiting: an interrupted journal then
 // explains itself when inspected or resumed.
 var jnl *journal.Journal
-
-// shutdownFabric tears down the -coordinator fabric (finish, drain
-// workers, close the listener); a no-op otherwise.  Package-level and
-// idempotent because the degraded-suite path and fail() exit through
-// os.Exit, which skips defers — every exit path calls it explicitly.
-var shutdownFabric = func() {}
 
 // chaos is the -chaos fault schedule, package-level so every exit path
 // (including fail) can report which faults actually fired.
@@ -129,9 +104,6 @@ func main() {
 		watchdog  = flag.Duration("watchdog", 0, "detach an analyzer making no chunk progress for this long and fail its benchmark (0 = off)")
 		chaosSeed = flag.Int64("chaos", 0, "arm a seeded chaos schedule: deterministic pipeline faults per benchmark plus journal I/O faults with -resume (0 = off; implies -retries 2 when -retries is unset)")
 		traceDir  = flag.String("trace-cache", "", "persistent annotated trace store directory: warm entries replay zero-copy with no VM run, cold runs populate it (results are byte-identical either way)")
-		coord     = flag.String("coordinator", "", "serve the suite's cells to ilplimitw workers on this address (e.g. :7070) instead of analyzing in-process")
-		lease     = flag.Duration("fabric-lease", 10*time.Second, "requeue a distributed cell whose worker misses heartbeats for this long (with -coordinator)")
-		drain     = flag.Duration("fabric-drain", 2*time.Second, "after a distributed run, keep answering workers for this long so they exit cleanly (with -coordinator)")
 		verbose   = flag.Bool("v", false, "log pipeline progress to stderr")
 		version   = flag.Bool("version", false, "print build provenance and exit")
 	)
@@ -171,9 +143,6 @@ func main() {
 	if *chaosSeed != 0 {
 		if *study != "" {
 			fail(fmt.Errorf("-chaos cannot be combined with -study: the chaos schedule is bound to one suite configuration"))
-		}
-		if *coord != "" {
-			fail(fmt.Errorf("-chaos cannot be combined with -coordinator: chaos faults inject into the in-process pipeline"))
 		}
 		benches := opt.Benchmarks
 		if len(benches) == 0 {
@@ -251,52 +220,6 @@ func main() {
 		defer cancel()
 		opt.Context = ctx
 	}
-	if *coord != "" {
-		if *study != "" {
-			fail(fmt.Errorf("-coordinator cannot be combined with -study: study passes vary the configuration workers are fingerprinted against"))
-		}
-		// With -resume, grants and completions also persist to a recovery
-		// journal beside the run journal, so a SIGKILLed coordinator
-		// restarted with the same flags resumes the distributed run.
-		var recovery *journal.Journal
-		if *resume != "" {
-			rj, err := journal.OpenNamed(iofault.OS(), *resume, "coordinator.ilpj", opt.JournalMeta(telemetry.GitRevision()))
-			if err != nil {
-				fail(fmt.Errorf("coordinator recovery journal: %w", err))
-			}
-			recovery = rj
-		}
-		c := fabric.NewCoordinator(opt.JournalMeta(telemetry.GitRevision()), fabric.CoordinatorOptions{
-			LeaseTTL: *lease, Watchdog: opt.Watchdog,
-			Metrics: opt.Metrics, Progress: progress,
-			Recovery: recovery,
-		})
-		ln, err := net.Listen("tcp", *coord)
-		if err != nil {
-			fail(fmt.Errorf("coordinator %s: %w", *coord, err))
-		}
-		fsrv := httpserve.Start(ln, c.Handler(), httpserve.Options{})
-		// Announced on stderr because ":0" picks an ephemeral port; tests
-		// and scripts scrape this line to point workers at the run.
-		fmt.Fprintf(os.Stderr, "ilplimit: coordinator listening on %s\n", fsrv.Addr())
-		c.Start()
-		opt.CellRunner = c.RunCell
-		drainFor := *drain
-		var once sync.Once
-		shutdownFabric = func() {
-			once.Do(func() {
-				c.Finish()
-				c.WaitDrained(drainFor)
-				_ = fsrv.Shutdown(time.Second)
-				c.Close()
-				if recovery != nil {
-					_ = recovery.Close()
-				}
-			})
-		}
-		defer shutdownFabric()
-	}
-
 	switch *study {
 	case "":
 	case "prediction":
@@ -357,9 +280,6 @@ func main() {
 	// the process exits non-zero.
 	var degraded *harness.SuiteError
 	suite, err := harness.RunSuite(opt)
-	// Release distributed workers before rendering: the suite is merged,
-	// so the fabric has nothing left to serve but "done".
-	shutdownFabric()
 	if err != nil && !errors.As(err, &degraded) {
 		fail(err)
 	}
@@ -403,7 +323,6 @@ func main() {
 			_ = jnl.Close()
 		}
 		reportChaos()
-		shutdownFabric()
 		os.Exit(1)
 	}
 	if jnl != nil {
@@ -424,6 +343,5 @@ func fail(err error) {
 		_ = jnl.Close()
 	}
 	reportChaos()
-	shutdownFabric()
 	os.Exit(1)
 }

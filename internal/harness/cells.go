@@ -22,34 +22,24 @@ type Cell struct {
 	Bench bench.Benchmark
 }
 
-// CellRunner executes one suite cell somewhere — the distributed
-// fabric's coordinator hands cells to remote workers through this hook.
-// See Options.CellRunner.
+// CellRunner executes one suite cell on the caller's behalf — the
+// benchmark suite in perfbench wraps each cell in a timing span through
+// this hook.  See Options.CellRunner.
 type CellRunner func(ctx context.Context, c Cell, opt Options) (*BenchResult, error)
 
 // RunCell executes one cell in-process with the suite's panic-isolation
 // boundary: an analyzer panic comes back as an error carrying the
-// faulting stack instead of crashing the caller.  It is the entry point
-// fabric workers use to execute a leased cell; retries are the
-// dispatching side's policy, so RunCell makes exactly one attempt.
+// faulting stack instead of crashing the caller.  A CellRunner calls it
+// to run the cell it wraps; RunCell does not re-enter Options.CellRunner,
+// and retries are RunSuite's policy, so RunCell makes exactly one
+// attempt.
 func RunCell(c Cell, opt Options) (*BenchResult, error) {
 	return runBenchmarkIsolated(c.Bench, opt)
 }
 
-// Retryable reports whether a cell failure is transient — worth
-// re-running — under the suite's retry policy.  Deterministic failures
-// (cancellation, step-limit overruns, model-ordering invariant
-// violations) reproduce exactly and return false; everything else —
-// panics, injected faults, watchdog stalls — is environmental and
-// returns true.  An error providing a `Retryable() bool` method (the
-// fabric's remote failures carry one) overrides the classification.
-// Fabric workers use Retryable to tell the coordinator whether a failed
-// cell deserves another attempt.
-func Retryable(err error) bool { return retryable(err) }
-
-// executeCell runs one cell attempt: through Options.CellRunner when the
-// suite's cells are dispatched externally, in-process otherwise.  A
-// panicking runner is converted to an error like a panicking benchmark.
+// executeCell runs one cell attempt: through Options.CellRunner when one
+// is set, directly otherwise.  A panicking runner is converted to an
+// error like a panicking benchmark.
 func executeCell(c Cell, opt Options) (res *BenchResult, err error) {
 	if opt.CellRunner == nil {
 		return runBenchmarkIsolated(c.Bench, opt)
@@ -66,11 +56,10 @@ func executeCell(c Cell, opt Options) (res *BenchResult, err error) {
 // suite order, whatever order they finish in.  Out-of-order completions
 // are buffered until every earlier cell has settled, so a journal's
 // bench records always appear in suite-index order — the property that
-// makes a distributed run's journal byte-identical to a local run's,
-// and a resumed journal's remainder splice exactly where an
-// uninterrupted run would have written it.  A cell that settles without
-// a result (failed, or resumed from a prior journal) advances the
-// cursor without appending.
+// makes a run's journal bytes deterministic and a resumed journal's
+// remainder splice exactly where an uninterrupted run would have
+// written it.  A cell that settles without a result (failed, or resumed
+// from a prior journal) advances the cursor without appending.
 type orderedAppender struct {
 	j       *journal.Journal
 	benches []bench.Benchmark

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -65,8 +64,8 @@ func TestOrderedAppenderSuiteOrder(t *testing.T) {
 
 // TestRunSuiteJournalOrderWithCellRunner runs a two-cell suite through
 // a CellRunner that makes the first cell finish last, and checks the
-// journal's record order still matches suite order — the invariant the
-// distributed fabric's byte-identity rests on.
+// journal's record order still matches suite order — the invariant
+// that makes journal bytes deterministic.
 func TestRunSuiteJournalOrderWithCellRunner(t *testing.T) {
 	dir := t.TempDir()
 	opt := fastSuite()
@@ -103,46 +102,6 @@ func TestRunSuiteJournalOrderWithCellRunner(t *testing.T) {
 	iEqn := bytes.Index(data, []byte(`"name":"eqntott"`))
 	if iAwk < 0 || iEqn < 0 || iAwk > iEqn {
 		t.Errorf("journal records out of suite order (awk@%d, eqntott@%d)", iAwk, iEqn)
-	}
-}
-
-// verdictErr mimics the fabric's pre-classified remote failures.
-type verdictErr struct{ transient bool }
-
-func (e verdictErr) Error() string   { return "remote cell failure" }
-func (e verdictErr) Retryable() bool { return e.transient }
-
-// TestRetryPolicyHonorsRetryableInterface checks an error exposing a
-// Retryable method overrides the default transient/deterministic
-// classification in both directions.
-func TestRetryPolicyHonorsRetryableInterface(t *testing.T) {
-	if retryable(verdictErr{transient: true}) != true {
-		t.Error("pre-classified transient error not retried")
-	}
-	if retryable(verdictErr{transient: false}) != false {
-		t.Error("pre-classified deterministic error retried")
-	}
-
-	run := func(transient bool) int64 {
-		var calls atomic.Int64
-		opt := fastSuite()
-		opt.Benchmarks = mustBench(t, "awk")
-		opt.Retries = 2
-		opt.RetryBackoff = time.Millisecond
-		opt.CellRunner = func(ctx context.Context, c Cell, o Options) (*BenchResult, error) {
-			calls.Add(1)
-			return nil, verdictErr{transient: transient}
-		}
-		if _, err := RunSuite(opt); err == nil {
-			t.Fatal("always-failing cell runner produced a passing suite")
-		}
-		return calls.Load()
-	}
-	if got := run(false); got != 1 {
-		t.Errorf("deterministic remote failure ran %d times, want 1", got)
-	}
-	if got := run(true); got != 3 {
-		t.Errorf("transient remote failure ran %d times, want 3", got)
 	}
 }
 

@@ -100,17 +100,14 @@ type Options struct {
 	// benchmark fails with a *limits.StallError (a transient failure,
 	// eligible for Retries).  Zero disables the watchdog.
 	Watchdog time.Duration
-	// CellRunner, when non-nil, delegates each suite cell's execution to
-	// an external scheduler — the distributed fabric's coordinator plugs
-	// in here — instead of running it in-process.  The runner must
-	// return the cell's BenchResult exactly as RunBenchmark would
-	// produce it; its errors flow through the same retry policy as local
-	// failures, with an error exposing a `Retryable() bool` method
-	// overriding the default transient/deterministic classification.
-	// Resume, journaling, merge ordering, and failure reporting are
-	// unchanged, which is what keeps a distributed run's output
-	// byte-identical to a local one.  CellRunner does not participate in
-	// JournalMeta: where a cell runs cannot change its result.
+	// CellRunner, when non-nil, runs each suite cell in place of the
+	// direct call — perfbench wraps every benchmark in a timing span
+	// here and delegates to RunCell.  The runner must return the cell's
+	// BenchResult exactly as RunBenchmark would produce it; its errors
+	// flow through the same retry policy as direct failures, and resume,
+	// journaling, merge ordering, and failure reporting are unchanged.
+	// CellRunner does not participate in JournalMeta: how a cell is
+	// invoked cannot change its result.
 	CellRunner CellRunner
 	// Faults, when non-nil, supplies a deterministic fault-injection
 	// plan per benchmark — chaos runs plug a seeded schedule in here.
@@ -601,14 +598,8 @@ func runBenchmarkIsolated(b bench.Benchmark, opt Options) (res *BenchResult, err
 // reproduce exactly; an invariant violation means the analysis computed
 // wrong numbers, and a retry that happened to pass would hide a bug.
 // Panics, injected faults, and watchdog stalls are environmental and
-// retry.  An error exposing a Retryable method — remote cell failures
-// arrive pre-classified by the worker that saw the original error —
-// decides for itself.
+// retry.
 func retryable(err error) bool {
-	var rt interface{ Retryable() bool }
-	if errors.As(err, &rt) {
-		return rt.Retryable()
-	}
 	var inv *limits.InvariantError
 	switch {
 	case errors.As(err, &inv),
@@ -724,8 +715,8 @@ func RunSuite(opt Options) (*SuiteResult, error) {
 			if appender != nil {
 				// Checkpoint through the ordered appender: records land in
 				// suite order whatever order cells finish in, so the
-				// journal's bytes are deterministic — the invariant the
-				// distributed fabric's byte-identity guarantee rests on.
+				// journal's bytes are deterministic and a resume splices
+				// exactly where the interrupted run stopped.
 				// A completed cell may wait here for earlier ones; a crash
 				// in that window re-runs it, which resume tolerates.
 				if errs[i] == nil {

@@ -43,9 +43,10 @@ func recordAnalyzer(scope *telemetry.Registry, r limits.Result) {
 }
 
 // stageColumns is the rendering order of the per-benchmark stage-timing
-// table; "wall" covers the whole pipeline including the untimed gaps
-// between stages.
-var stageColumns = []string{"compile", "optimize", "profile", "predecode", "analyze", "wall"}
+// table.  A live run fills profile and analyze, a warm trace-store run
+// fills cached_replay instead; "wall" covers the whole pipeline
+// including the untimed gaps between stages.
+var stageColumns = []string{"compile", "optimize", "profile", "predecode", "analyze", "cached_replay", "wall"}
 
 // MetricsReport renders a telemetry snapshot as the human-readable
 // stage-timing report behind `ilplimit -metrics`: one row per benchmark
@@ -151,27 +152,6 @@ func MetricsReport(s *telemetry.Snapshot) string {
 		fmt.Fprintf(&b, "            %d producer stalls, %d consumer stalls, %d detaches\n",
 			sum("ring.producer_stalls"), sum("ring.consumer_stalls"), sum("ring.detaches"))
 		b.WriteString(latencyLine(s))
-	}
-	// Distributed runs: the coordinator's lease accounting plus a
-	// per-worker load breakdown (fabric.worker.<id>.* counters).
-	if leases := s.Counters["fabric.leases"]; leases > 0 {
-		fmt.Fprintf(&b, "fabric      %12d leases (%d cells done, %d requeued, %d stale completions dropped)\n",
-			leases, s.Counters["fabric.cells_done"], s.Counters["fabric.requeues"],
-			s.Counters["fabric.stale_completions"])
-		var workers []string
-		for name := range s.Counters {
-			if rest, ok := strings.CutPrefix(name, "fabric.worker."); ok {
-				if id, ok := strings.CutSuffix(rest, ".leases"); ok {
-					workers = append(workers, id)
-				}
-			}
-		}
-		sort.Strings(workers)
-		for _, id := range workers {
-			p := "fabric.worker." + id + "."
-			fmt.Fprintf(&b, "            worker %-12s %4d leases, %d cells done, %d requeued\n",
-				id, s.Counters[p+"leases"], s.Counters[p+"cells_done"], s.Counters[p+"requeued"])
-		}
 	}
 	if b.Len() == 0 {
 		return "telemetry: snapshot holds no pipeline metrics\n"

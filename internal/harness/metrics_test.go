@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 
@@ -8,16 +9,18 @@ import (
 	"ilplimit/internal/telemetry"
 )
 
-// runWithMetrics runs one benchmark with a fresh registry and returns
-// the filtered per-benchmark snapshot plus the raw suite-level one.
-func runWithMetrics(t *testing.T, name string, serial bool) (*telemetry.Snapshot, *telemetry.Snapshot) {
+// runWithMetrics runs one benchmark under opt with a fresh registry and
+// returns the filtered per-benchmark snapshot plus the raw suite-level
+// one.
+func runWithMetrics(t *testing.T, name string, opt Options) (*telemetry.Snapshot, *telemetry.Snapshot) {
 	t.Helper()
 	b, err := bench.ByName(name)
 	if err != nil {
 		t.Fatal(err)
 	}
 	reg := telemetry.NewRegistry()
-	r, err := RunBenchmark(b, Options{Metrics: reg, Serial: serial})
+	opt.Metrics = reg
+	r, err := RunBenchmark(b, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,9 +32,10 @@ func runWithMetrics(t *testing.T, name string, serial bool) (*telemetry.Snapshot
 
 // TestRunBenchmarkTelemetry checks the per-benchmark snapshot carries
 // the full catalogue: stage timers, VM counters for both passes, and
-// ring statistics, all with the "bench.<name>." prefix stripped.
+// ring statistics, all with the "bench.<name>." prefix stripped — and
+// that a warm trace-store run reports its replay time.
 func TestRunBenchmarkTelemetry(t *testing.T) {
-	snap, raw := runWithMetrics(t, "irsim", false)
+	snap, raw := runWithMetrics(t, "irsim", Options{})
 
 	for _, c := range []string{
 		"stage.compile_ns", "stage.profile_ns", "stage.analyze_ns", "stage.wall_ns",
@@ -75,6 +79,44 @@ func TestRunBenchmarkTelemetry(t *testing.T) {
 	if analyzer != 14 {
 		t.Errorf("got %d analyzer cycle counters, want 14 (7 models × {unrolled, plain})", analyzer)
 	}
+
+	// A warm trace-store run replays the stored trace instead of
+	// profiling and analyzing live; its report row must show the replay.
+	store := t.TempDir()
+	runWithMetrics(t, "irsim", Options{TraceStore: store}) // cold: populates
+	warm, warmRaw := runWithMetrics(t, "irsim", Options{TraceStore: store})
+	if warm.Counters["store.hits"] != 1 || warm.Counters["stage.cached_replay_ns"] <= 0 {
+		t.Fatalf("warm run: store.hits = %d, stage.cached_replay_ns = %d; want a timed store hit",
+			warm.Counters["store.hits"], warm.Counters["stage.cached_replay_ns"])
+	}
+	report := MetricsReport(warmRaw)
+	cell := reportCell(t, report, "irsim", "cached_replay")
+	if _, err := strconv.ParseFloat(cell, 64); err != nil {
+		t.Errorf("warm irsim row shows %q under cached_replay, want a time:\n%s", cell, report)
+	}
+}
+
+// reportCell returns the entry of MetricsReport's stage-timing table in
+// the given benchmark's row and column.
+func reportCell(t *testing.T, report, benchName, column string) string {
+	t.Helper()
+	col := -1
+	for _, line := range strings.Split(report, "\n") {
+		f := strings.Fields(line)
+		switch {
+		case len(f) == 0:
+		case f[0] == "Benchmark":
+			for i, h := range f {
+				if h == column {
+					col = i
+				}
+			}
+		case f[0] == benchName && col >= 0 && col < len(f):
+			return f[col]
+		}
+	}
+	t.Fatalf("no %s row with a %s column in report:\n%s", benchName, column, report)
+	return ""
 }
 
 // TestTelemetryDeterministicAcrossPaths pins snapshot determinism under
@@ -84,8 +126,8 @@ func TestRunBenchmarkTelemetry(t *testing.T) {
 // through the parallel chunked replay.  Timing and stall metrics are
 // excluded — they measure the machine, not the program.
 func TestTelemetryDeterministicAcrossPaths(t *testing.T) {
-	serial, _ := runWithMetrics(t, "irsim", true)
-	parallel, _ := runWithMetrics(t, "irsim", false)
+	serial, _ := runWithMetrics(t, "irsim", Options{Serial: true})
+	parallel, _ := runWithMetrics(t, "irsim", Options{})
 	deterministic := func(name string) bool {
 		return strings.HasPrefix(name, "analyzer.") ||
 			strings.HasSuffix(name, ".instructions") ||

@@ -9,7 +9,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 
 	"ilplimit/internal/iofault"
@@ -70,10 +69,8 @@ func (m Meta) fingerprint() []byte {
 }
 
 // Fingerprint returns the canonical comparison form of the Meta — its
-// JSON with the informational fields cleared.  Two runs may exchange or
-// splice journal records only when their fingerprints are equal; the
-// distributed fabric uses it as the wire-protocol compatibility check
-// between coordinator and workers.
+// JSON with the informational fields cleared.  A journal resumes only
+// under a run whose fingerprint is equal to the one it was written with.
 func (m Meta) Fingerprint() string { return string(m.fingerprint()) }
 
 // Journal is a crash-safe, append-only record log for one suite run.
@@ -88,7 +85,6 @@ type Journal struct {
 	meta      Meta
 	benches   map[string]json.RawMessage // completed benchmark payloads by name
 	order     []string                   // bench record names in journal order
-	extra     map[string][][]byte        // salvaged payloads of custom record kinds
 	recovered int
 	truncated int64 // corrupt tail bytes dropped during recovery (0 = clean)
 	off       int64 // end offset of the last fully appended record
@@ -120,22 +116,14 @@ func Open(dir string, meta Meta) (*Journal, error) {
 // OpenFS is Open over an explicit filesystem, through which I/O faults
 // can be injected in tests and chaos runs.
 func OpenFS(fsys iofault.FS, dir string, meta Meta) (*Journal, error) {
-	return OpenNamed(fsys, dir, FileName, meta)
-}
-
-// OpenNamed is OpenFS with an explicit journal file name inside dir,
-// letting several journals (for example the run journal and the
-// coordinator's recovery journal) share one directory.
-func OpenNamed(fsys iofault.FS, dir, name string, meta Meta) (*Journal, error) {
 	if err := fsys.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("journal: %w", err)
 	}
 	j := &Journal{
 		fsys:    fsys,
-		path:    filepath.Join(dir, name),
+		path:    filepath.Join(dir, FileName),
 		meta:    meta,
 		benches: make(map[string]json.RawMessage),
-		extra:   make(map[string][][]byte),
 	}
 	data, err := fsys.ReadFile(j.path)
 	switch {
@@ -188,6 +176,8 @@ func (j *Journal) recover(data []byte) (*Journal, error) {
 		if !ok {
 			break // corrupt record: salvage stops at the first bad line
 		}
+		// Note records are informational and unknown kinds are skipped;
+		// neither stops the salvage.
 		switch kind {
 		case "meta":
 			var m Meta
@@ -208,10 +198,6 @@ func (j *Journal) recover(data []byte) (*Journal, error) {
 				j.order = append(j.order, b.Name)
 			}
 			j.benches[b.Name] = b.Result
-		case "note":
-			// informational only
-		default:
-			j.extra[kind] = append(j.extra[kind], append([]byte(nil), payload...))
 		}
 		data = data[nl+1:]
 		valid += int64(nl + 1)
@@ -330,13 +316,10 @@ func (j *Journal) AppendBench(name string, result interface{}) error {
 var ErrResultConflict = errors.New("journal: conflicting duplicate result for benchmark")
 
 // AppendBenchRaw durably records one completed benchmark result from its
-// already-marshaled JSON, byte for byte.  It is the ingestion point for
-// remote records: a coordinator appending a worker's marshaled result
-// verbatim produces a journal byte-identical to a local run's.  Append
-// is idempotent — re-recording a benchmark with the identical payload is
-// a no-op, so a retried remote completion cannot duplicate a record —
-// and a duplicate with a *different* payload fails with
-// ErrResultConflict.
+// already-marshaled JSON, byte for byte.  Append is idempotent —
+// re-recording a benchmark with the identical payload is a no-op, so a
+// retried completion cannot duplicate a record — and a duplicate with a
+// *different* payload fails with ErrResultConflict.
 func (j *Journal) AppendBenchRaw(name string, raw json.RawMessage) error {
 	if !json.Valid(raw) {
 		return fmt.Errorf("journal: result payload for %q is not valid JSON", name)
@@ -374,39 +357,6 @@ func (j *Journal) AppendNote(note string) error {
 		return fmt.Errorf("journal: %w", err)
 	}
 	return j.append("note", payload)
-}
-
-// reservedKinds are the record kinds the journal itself interprets;
-// AppendRecord refuses them so custom records can't spoof results.
-var reservedKinds = map[string]bool{"meta": true, "bench": true, "note": true}
-
-// AppendRecord durably records one custom-kind record (for example the
-// fabric coordinator's lease and completion entries).  The kind must be
-// a non-empty token without spaces and must not collide with the
-// journal's own kinds; the payload must be newline-free.  Salvaged
-// records of the same kind are readable via Records after reopening.
-func (j *Journal) AppendRecord(kind string, payload []byte) error {
-	if kind == "" || strings.ContainsAny(kind, " \n") {
-		return fmt.Errorf("journal: invalid record kind %q", kind)
-	}
-	if reservedKinds[kind] {
-		return fmt.Errorf("journal: record kind %q is reserved", kind)
-	}
-	return j.append(kind, payload)
-}
-
-// Records returns the salvaged payloads of one custom record kind, in
-// journal order.  Only records recovered by Open are returned; records
-// appended through this handle are not echoed back.
-func (j *Journal) Records(kind string) [][]byte {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	recs := j.extra[kind]
-	out := make([][]byte, len(recs))
-	for i, r := range recs {
-		out[i] = append([]byte(nil), r...)
-	}
-	return out
 }
 
 // Lookup returns the journaled result payload for one benchmark, or

@@ -8,8 +8,8 @@ import (
 	"testing"
 )
 
-// TestAppendBenchRawIdempotent checks the distributed fabric's durable
-// exactly-once backstop: re-appending the identical payload is a no-op,
+// TestAppendBenchRawIdempotent checks the journal's durable exactly-once
+// backstop: re-appending the identical payload is a no-op,
 // a conflicting payload for the same benchmark is refused, and invalid
 // JSON never reaches the file.
 func TestAppendBenchRawIdempotent(t *testing.T) {
@@ -22,7 +22,7 @@ func TestAppendBenchRawIdempotent(t *testing.T) {
 	if err := j.AppendBenchRaw("awk", raw); err != nil {
 		t.Fatal(err)
 	}
-	// Identical duplicate: the retry of a torn completion stream.
+	// Identical duplicate: a retried completion.
 	if err := j.AppendBenchRaw("awk", raw); err != nil {
 		t.Fatalf("idempotent re-append = %v", err)
 	}
@@ -65,7 +65,7 @@ func TestMetaFingerprint(t *testing.T) {
 	a, b := testMeta(), testMeta()
 	b.GitSHA = "different"
 	if a.Fingerprint() != b.Fingerprint() {
-		t.Error("GitSHA participates in the fingerprint; rebuilt binaries could never exchange work")
+		t.Error("GitSHA participates in the fingerprint; a rebuilt binary could never resume")
 	}
 	b.Scale = a.Scale + 1
 	if a.Fingerprint() == b.Fingerprint() {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"syscall"
 	"testing"
@@ -348,55 +347,31 @@ func TestOpenENOSPCSurfacesError(t *testing.T) {
 	j.Close()
 }
 
-// TestRecordsRoundTrip covers the custom record kinds the coordinator's
-// recovery journal uses: append while open, salvage on reopen, reserved
-// kinds rejected.
-func TestRecordsRoundTrip(t *testing.T) {
+// TestSalvageSkipsUnknownKinds: a well-formed record of a kind the
+// journal does not interpret is skipped, and salvage continues past it
+// to the bench records that follow.
+func TestSalvageSkipsUnknownKinds(t *testing.T) {
 	sim := iofault.NewSim()
-	j, err := OpenNamed(sim, "run", "coordinator.ilpj", sweepMeta())
+	j, err := OpenFS(sim, "run", sweepMeta())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, bad := range []string{"", "meta", "bench", "note", "two words"} {
-		if err := j.AppendRecord(bad, []byte(`{}`)); err == nil {
-			t.Errorf("AppendRecord(%q) accepted", bad)
-		}
-	}
-	if err := j.AppendRecord("lease", []byte(`{"id":"lease-1"}`)); err != nil {
+	if err := j.append("lease", []byte(`{"id":"lease-1"}`)); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.AppendRecord("cell", []byte(`{"index":0}`)); err != nil {
+	if err := j.AppendBench("b0", map[string]int{"v": 0}); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.AppendRecord("lease", []byte(`{"id":"lease-2"}`)); err != nil {
-		t.Fatal(err)
-	}
-	if got := j.Records("lease"); len(got) != 0 {
-		t.Fatalf("Records echoes un-salvaged appends: %q", got)
-	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-	j2, err := OpenNamed(sim, "run", "coordinator.ilpj", sweepMeta())
+	j.Close()
+	j2, err := OpenFS(sim, "run", sweepMeta())
 	if err != nil {
 		t.Fatal(err)
 	}
-	leases := j2.Records("lease")
-	want := [][]byte{[]byte(`{"id":"lease-1"}`), []byte(`{"id":"lease-2"}`)}
-	if !reflect.DeepEqual(leases, want) {
-		t.Fatalf("salvaged leases = %q, want %q", leases, want)
+	defer j2.Close()
+	if j2.Recovered() != 1 || j2.Truncated() != 0 {
+		t.Fatalf("recovered %d, truncated %d; want 1 bench and no truncation", j2.Recovered(), j2.Truncated())
 	}
-	if cells := j2.Records("cell"); len(cells) != 1 || string(cells[0]) != `{"index":0}` {
-		t.Fatalf("salvaged cells = %q", cells)
+	if _, ok := j2.Lookup("b0"); !ok {
+		t.Fatal("bench record after an unknown kind lost")
 	}
-	j2.Close()
-	// The run journal in the same directory is independent.
-	r, err := OpenFS(sim, "run", sweepMeta())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := r.Records("lease"); len(got) != 0 {
-		t.Fatalf("run journal sees coordinator records: %q", got)
-	}
-	r.Close()
 }

@@ -178,7 +178,7 @@ func (r *eventRing) close() {
 	r.mu.Unlock()
 }
 
-// close marks the stream aborted: the producer stops publishing and every
+// abort marks the stream aborted: the producer stops publishing and every
 // consumer stops at its next chunk boundary, whatever is still buffered.
 // Used to tear the flow down on context cancellation, where neither side
 // should wait for the other.

@@ -115,34 +115,6 @@ func (s *Snapshot) CounterNames() []string {
 	return names
 }
 
-// Import folds a snapshot captured elsewhere — typically on a fabric
-// worker — into this registry, optionally prefixing every imported name.
-// Counters and histogram counts accumulate (importing twice doubles
-// them; dedup belongs to the caller), gauges fold as high-water marks
-// (SetMax — every gauge in the catalogue is a high-water or last-value
-// reading, for which the maximum is the meaningful merge), and
-// histograms require matching bucket bounds (mismatches are counted
-// under "telemetry.import_dropped" instead of merged, so schema drift is
-// visible rather than silently corrupting).  No-op on a nil registry or
-// a nil snapshot.
-func (r *Registry) Import(prefix string, s *Snapshot) {
-	if r == nil || s == nil {
-		return
-	}
-	for name, v := range s.Counters {
-		r.Counter(prefix + name).Add(v)
-	}
-	for name, v := range s.Gauges {
-		r.Gauge(prefix + name).SetMax(v)
-	}
-	for name, hs := range s.Histograms {
-		h := r.Histogram(prefix+name, hs.Bounds)
-		if !h.merge(hs) {
-			r.Counter("telemetry.import_dropped").Inc()
-		}
-	}
-}
-
 // PublishExpvar publishes the registry under the given expvar name, so
 // an HTTP server with the expvar handler (/debug/vars) serves a live
 // snapshot on every request.  Publishing the same name twice panics

@@ -102,26 +102,6 @@ func (h *Histogram) Observe(v int64) {
 	h.sum.Add(v)
 }
 
-// merge accumulates a snapshot's buckets into the histogram.  It
-// reports false — merging nothing — when the bucket bounds differ, and
-// true otherwise.  False on a nil histogram too.
-func (h *Histogram) merge(hs HistogramSnapshot) bool {
-	if h == nil || len(hs.Bounds) != len(h.bounds) || len(hs.Counts) != len(h.buckets) {
-		return false
-	}
-	for i, b := range hs.Bounds {
-		if h.bounds[i] != b {
-			return false
-		}
-	}
-	for i, c := range hs.Counts {
-		h.buckets[i].Add(c)
-	}
-	h.count.Add(hs.Count)
-	h.sum.Add(hs.Sum)
-	return true
-}
-
 // Registry is a named collection of metrics.  The zero value is not
 // usable — construct with NewRegistry — but a nil *Registry is: every
 // method no-ops (returning nil handles), which is the disabled fast
