@@ -77,7 +77,7 @@ faultcheck:
 # second pass catches state the first one leaks.
 soak: faultcheck
 	$(GO) test -race ./internal/journal
-	$(GO) test -race -run 'Resume|Retr|Invariant|Watchdog' ./internal/harness
+	$(GO) test -race -run 'Resume|Retr|Invariant' ./internal/harness
 	$(GO) test -race -count 2 -run TestCLIKillResume .
 
 # Chaos soak: the crash-consistency layer under the race detector — the
@@ -99,8 +99,9 @@ soak-server:
 	$(GO) test -race ./internal/server
 	$(GO) test -race -run 'TestCLIVersion|TestCLIDaemon|TestCLIServerSoak' .
 
-# Group-scheduling benchmarks (serial visitor vs chunked parallel
-# replay) plus the per-model analyzer hot-loop microbenchmarks.
+# Group-scheduling benchmarks (the single-goroutine SerialReplayWith
+# loop vs the ReplayWith ring fan-out, live and warm-cache) plus the
+# per-model analyzer hot-loop microbenchmarks.
 bench:
 	$(GO) test -bench $(BENCH_PATTERN) -benchmem -benchtime 3x -run '^$$' .
 

@@ -202,8 +202,8 @@ func BenchmarkStudyQuality(b *testing.B) {
 //
 // BenchmarkGroupSerial and BenchmarkGroupParallel isolate the analysis
 // pass of RunBenchmark — 7 models × 2 unroll configs over one captured
-// trace — comparing the single-goroutine visitor with the chunked
-// broadcast-ring fan-out (limits.Replay).  Run with
+// trace — comparing the single-goroutine loop (limits.SerialReplayWith)
+// with the chunked broadcast-ring fan-out (limits.ReplayWith).  Run with
 //
 //	go test -bench BenchmarkGroup -benchmem .
 //
@@ -259,6 +259,15 @@ func loadGroupTrace(b *testing.B, name string) *groupTrace {
 	return tr
 }
 
+// run adapts the captured trace to the RunFunc the replay entry points
+// take.
+func (tr *groupTrace) run(_ context.Context, visit func(vm.Event)) error {
+	for _, ev := range tr.events {
+		visit(ev)
+	}
+	return nil
+}
+
 // benchGroups builds the same analyzer set RunBenchmark schedules: every
 // model with and without perfect unrolling.
 func benchGroups(tr *groupTrace) (*limits.Group, *limits.Group, []*limits.Analyzer) {
@@ -277,26 +286,14 @@ func benchGroupScheduling(b *testing.B, serial bool) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				unrolled, _, all := benchGroups(tr)
+				var err error
 				if serial {
-					err := limits.SerialReplay(context.Background(), func(_ context.Context, visit func(vm.Event)) error {
-						for _, ev := range tr.events {
-							visit(ev)
-						}
-						return nil
-					}, all...)
-					if err != nil {
-						b.Fatal(err)
-					}
+					err = limits.SerialReplayWith(context.Background(), nil, tr.run, all...)
 				} else {
-					err := limits.Replay(func(visit func(vm.Event)) error {
-						for _, ev := range tr.events {
-							visit(ev)
-						}
-						return nil
-					}, all...)
-					if err != nil {
-						b.Fatal(err)
-					}
+					err = limits.ReplayWith(context.Background(), limits.ReplayOptions{}, tr.run, all...)
+				}
+				if err != nil {
+					b.Fatal(err)
 				}
 				if rs := unrolled.Results(); rs[0].Cycles == 0 {
 					b.Fatal("empty result")
@@ -326,12 +323,7 @@ func BenchmarkGroupParallelObserved(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				_, _, all := benchGroups(tr)
 				m := telemetry.NewRegistry()
-				err := limits.ReplayObserved(context.Background(), m, func(ctx context.Context, visit func(vm.Event)) error {
-					for _, ev := range tr.events {
-						visit(ev)
-					}
-					return nil
-				}, all...)
+				err := limits.ReplayWith(context.Background(), limits.ReplayOptions{Metrics: m}, tr.run, all...)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -371,13 +363,7 @@ func populateGroupStore(b *testing.B, tr *groupTrace, name, dir string) (*traces
 	if err != nil {
 		b.Fatal(err)
 	}
-	err = limits.SerialReplayWith(context.Background(), pop.Sink(), func(_ context.Context, visit func(vm.Event)) error {
-		for _, ev := range tr.events {
-			visit(ev)
-		}
-		return nil
-	}, all...)
-	if err != nil {
+	if err := limits.SerialReplayWith(context.Background(), pop.Sink(), tr.run, all...); err != nil {
 		pop.Abort()
 		b.Fatal(err)
 	}
@@ -407,7 +393,7 @@ func BenchmarkGroupCached(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if err := rep.Run(context.Background(), false, all...); err != nil {
+				if err := rep.Run(context.Background(), all...); err != nil {
 					b.Fatal(err)
 				}
 				if err := rep.Close(); err != nil {
@@ -480,7 +466,7 @@ func BenchmarkTraceStoreRead(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := rep.Run(context.Background(), true, a); err != nil {
+		if err := rep.Run(context.Background(), a); err != nil {
 			b.Fatal(err)
 		}
 		if err := rep.Close(); err != nil {

@@ -118,7 +118,7 @@ func TestCLIDaemon(t *testing.T) {
 		t.Skip("builds and runs binaries")
 	}
 	bin := buildCmd(t, "ilplimitd")
-	base, cmd := startDaemon(t, bin, "-debug-addr", "127.0.0.1:0", "-watchdog", "-1s")
+	base, cmd := startDaemon(t, bin, "-debug-addr", "127.0.0.1:0")
 	defer func() {
 		_ = cmd.Process.Kill()
 		_ = cmd.Wait()
@@ -182,7 +182,7 @@ func TestCLIDaemonKillResume(t *testing.T) {
 		"benchmarks": []string{"irsim", "eqntott"}, "timeout_ms": 300000}
 
 	// Reference result from a daemon with no durable state at all.
-	refBase, refCmd := startDaemon(t, bin, "-watchdog", "-1s")
+	refBase, refCmd := startDaemon(t, bin)
 	status, _, ref := postDaemonJob(t, refBase, body)
 	if status != http.StatusOK {
 		t.Fatalf("reference job: status %d", status)
@@ -192,7 +192,7 @@ func TestCLIDaemonKillResume(t *testing.T) {
 
 	// Run 1: submit, then SIGKILL as soon as the first benchmark of the
 	// suite job has been journaled.
-	base, cmd := startDaemon(t, bin, "-data", dir, "-watchdog", "-1s")
+	base, cmd := startDaemon(t, bin, "-data", dir)
 	go func() {
 		// The response will die with the daemon; only its side effects
 		// on the journal matter.
@@ -226,7 +226,7 @@ func TestCLIDaemonKillResume(t *testing.T) {
 	// Run 2: same data dir.  The per-job journal still holds the
 	// completed benchmark (plus a stale writer lock from the kill);
 	// resubmission must resume it, not re-run it.
-	base2, cmd2 := startDaemon(t, bin, "-data", dir, "-watchdog", "-1s", "-debug-addr", "127.0.0.1:0")
+	base2, cmd2 := startDaemon(t, bin, "-data", dir, "-debug-addr", "127.0.0.1:0")
 	defer func() {
 		_ = cmd2.Process.Kill()
 		_ = cmd2.Wait()
@@ -255,7 +255,7 @@ func TestCLIDaemonKillResume(t *testing.T) {
 	// Run 4: a fresh daemon process on the same directory must serve
 	// the result durably without any execution.
 	stopDaemon(t, cmd2)
-	base3, cmd3 := startDaemon(t, bin, "-data", dir, "-watchdog", "-1s")
+	base3, cmd3 := startDaemon(t, bin, "-data", dir)
 	defer func() {
 		_ = cmd3.Process.Kill()
 		_ = cmd3.Wait()
@@ -286,8 +286,7 @@ func TestCLIServerSoak(t *testing.T) {
 	// depth 4.  Offered: 40/s of unique (cache-busting) programs.
 	base, cmd := startDaemon(t, daemon,
 		"-workers", "2", "-queue-depth", "4", "-tenant-queue-depth", "2",
-		"-tenant-quota", "1", "-exec-delay", "100ms", "-read-timeout", "1s",
-		"-watchdog", "-1s")
+		"-tenant-quota", "1", "-exec-delay", "100ms", "-read-timeout", "1s")
 	defer func() {
 		_ = cmd.Process.Kill()
 		_ = cmd.Wait()

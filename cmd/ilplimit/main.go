@@ -11,13 +11,11 @@
 //	ilplimit -bench espresso         # restrict the suite to one benchmark
 //	ilplimit -bench awk,ccom,latex   # or to a comma-separated list
 //	ilplimit -scale 4                # larger workloads
-//	ilplimit -serial                 # single-goroutine analysis (debugging/measurement)
 //	ilplimit -timeout 2m             # abort cleanly if the run exceeds a deadline
 //	ilplimit -metrics                # pipeline telemetry report after the run
 //	ilplimit -debug-addr 127.0.0.1:6060  # live expvar + pprof during the run
 //	ilplimit -resume state/          # crash-safe run: journal results, skip completed ones
 //	ilplimit -retries 2              # re-run transiently-failed benchmarks
-//	ilplimit -watchdog 30s           # detach analyzers making no chunk progress
 //	ilplimit -chaos 7 -resume state/ # seeded fault injection: pipeline + disk faults
 //	ilplimit -v                      # progress on stderr
 //
@@ -94,14 +92,12 @@ func main() {
 		name      = flag.String("bench", "", "run only this benchmark (name or unique prefix)")
 		scale     = flag.Int("scale", 1, "workload scale factor (>= 1)")
 		optimize  = flag.Bool("opt", false, "run the post-codegen optimizer before analysis")
-		serial    = flag.Bool("serial", false, "step all analyzers in one goroutine instead of the parallel chunked replay")
 		jsonOut   = flag.Bool("json", false, "emit machine-readable JSON instead of tables")
 		timeout   = flag.Duration("timeout", 0, "abort the whole run after this duration (e.g. 30s; 0 = no limit)")
 		metrics   = flag.Bool("metrics", false, "print a pipeline telemetry report (stage timings, VM throughput, ring stats) after the run")
 		debug     = flag.String("debug-addr", "", "serve expvar and net/http/pprof on this address (e.g. 127.0.0.1:6060) for the lifetime of the run")
 		resume    = flag.String("resume", "", "journal completed benchmarks in this directory and skip ones already journaled by an interrupted run")
 		retries   = flag.Int("retries", 0, "re-run a transiently-failed benchmark up to this many extra times")
-		watchdog  = flag.Duration("watchdog", 0, "detach an analyzer making no chunk progress for this long and fail its benchmark (0 = off)")
 		chaosSeed = flag.Int64("chaos", 0, "arm a seeded chaos schedule: deterministic pipeline faults per benchmark plus journal I/O faults with -resume (0 = off; implies -retries 2 when -retries is unset)")
 		traceDir  = flag.String("trace-cache", "", "persistent annotated trace store directory: warm entries replay zero-copy with no VM run, cold runs populate it (results are byte-identical either way)")
 		verbose   = flag.Bool("v", false, "log pipeline progress to stderr")
@@ -125,9 +121,7 @@ func main() {
 	}
 	opt := harness.Options{
 		Scale: *scale, Progress: progress, Models: limits.AllModels(),
-		Optimize: *optimize, Serial: *serial,
-		Retries: *retries, Watchdog: *watchdog,
-		TraceStore: *traceDir,
+		Optimize: *optimize, Retries: *retries, TraceStore: *traceDir,
 	}
 	if *name != "" {
 		// A restricted benchmark list still runs through RunSuite, so

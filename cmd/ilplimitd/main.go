@@ -59,7 +59,6 @@ func main() {
 		maxTimeout   = flag.Duration("max-timeout", 0, "ceiling for client-requested deadlines (0 = 5m)")
 		maxScale     = flag.Int("max-scale", 0, "largest accepted suite scale factor (0 = default 8)")
 		cacheEntries = flag.Int("cache-entries", 0, "completed-result LRU size (0 = default 256)")
-		watchdog     = flag.Duration("watchdog", 0, "per-job analyzer stall watchdog (0 = 30s, negative = off)")
 		traceCache   = flag.String("trace-cache", "", "persistent annotated trace store shared across jobs: warm entries replay with no VM run (uploaded-trace jobs never use it)")
 		drainWait    = flag.Duration("drain-timeout", 30*time.Second, "how long SIGTERM waits for in-flight jobs before forcing exit")
 		readTimeout  = flag.Duration("read-timeout", 30*time.Second, "cut a connection whose request has not fully arrived in this long (the slow-loris defense)")
@@ -96,7 +95,6 @@ func main() {
 		MaxTimeout:       *maxTimeout,
 		MaxScale:         *maxScale,
 		CacheEntries:     *cacheEntries,
-		Watchdog:         *watchdog,
 		TraceStore:       *traceCache,
 		Fault:            plan,
 		Metrics:          met,

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -99,7 +100,7 @@ func main() {
 		}
 		machine.Reset()
 		group := limits.NewGroup(st, len(machine.Mem), specModels, true)
-		if err := machine.Run(group.Visitor()); err != nil {
+		if err := limits.ReplayContext(context.Background(), machine.RunContext, group.Analyzers...); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("%-16s", pr.name)

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -61,7 +62,7 @@ func main() {
 	}
 	machine.Reset()
 	group := limits.NewGroup(st, len(machine.Mem), limits.AllModels(), true)
-	if err := machine.Run(group.Visitor()); err != nil {
+	if err := limits.ReplayContext(context.Background(), machine.RunContext, group.Analyzers...); err != nil {
 		log.Fatal(err)
 	}
 

@@ -8,6 +8,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"log"
 
@@ -64,8 +65,12 @@ func main() {
 		log.Fatal(err)
 	}
 	group := limits.NewGroup(st, len(machine.Mem), limits.AllModels(), true)
-	visit := group.Visitor()
-	n, err := trace.Visit(bytes.NewReader(file.Bytes()), visit)
+	var n int64
+	err = limits.ReplayContext(context.Background(), func(_ context.Context, visit func(vm.Event)) error {
+		var err error
+		n, err = trace.Visit(bytes.NewReader(file.Bytes()), visit)
+		return err
+	}, group.Analyzers...)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -7,13 +7,16 @@ import (
 	"testing"
 
 	"ilplimit"
+	"ilplimit/internal/harness"
+	"ilplimit/internal/limits"
 )
 
-// TestGoldenTables pins the paper's Tables 2-4 from one default scale-1
-// suite run byte for byte against testdata/golden, and the Table 3
-// harmonic-mean row against the "ours" row README.md quotes.  A golden
-// file changes only with a CHANGES.md entry naming the cause; regenerate
-// one with `go run ./cmd/ilplimit -table N > testdata/golden/tableN.txt`.
+// TestGoldenTables pins the paper's Tables 2-4 and Figures 4-7 from one
+// default scale-1 suite run byte for byte against testdata/golden, and
+// the Table 3 harmonic-mean row against the "ours" row README.md quotes.
+// A golden file changes only with a CHANGES.md entry naming the cause;
+// regenerate one with `go run ./cmd/ilplimit -table N` (or `-figure N`)
+// redirected to testdata/golden/tableN.txt (figureN.txt).
 func TestGoldenTables(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the full suite")
@@ -28,15 +31,13 @@ func TestGoldenTables(t *testing.T) {
 		{"table2.txt", s.Table2()},
 		{"table3.txt", s.Table3()},
 		{"table4.txt", s.Table4()},
+		{"figure4.txt", s.Figure4()},
+		{"figure5.txt", s.Figure5()},
+		{"figure6.txt", s.Figure6()},
+		{"figure7.txt", s.Figure7()},
 	}
 	for _, tb := range tables {
-		want, err := os.ReadFile(filepath.Join("testdata", "golden", tb.file))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if tb.got != string(want) {
-			t.Errorf("%s differs from the golden file:\n got:\n%s\nwant:\n%s", tb.file, tb.got, want)
-		}
+		checkGolden(t, tb.file, tb.got)
 	}
 
 	readme, err := os.ReadFile("README.md")
@@ -47,6 +48,49 @@ func TestGoldenTables(t *testing.T) {
 	hmean := tableRow(s.Table3(), "Harmonic Mean", " ")
 	if len(ours) != 7 || strings.Join(hmean, " ") != strings.Join(ours, " ") {
 		t.Errorf("Table 3 harmonic mean %v does not match README's ours row %v", hmean, ours)
+	}
+}
+
+// TestGoldenStudies pins the scale-1 ablation studies byte for byte
+// against testdata/golden/study-NAME.txt, the output of
+// `go run ./cmd/ilplimit -study NAME`.  The scale study is left out: it
+// also runs scale 4.
+func TestGoldenStudies(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the suite once per study pass")
+	}
+	type renderer interface{ Render() string }
+	studies := []struct {
+		name string
+		run  func(harness.Options) (renderer, error)
+	}{
+		{"prediction", func(o harness.Options) (renderer, error) { return harness.RunPredictionStudy(o) }},
+		{"window", func(o harness.Options) (renderer, error) { return harness.RunWindowStudy(o) }},
+		{"latency", func(o harness.Options) (renderer, error) { return harness.RunLatencyStudy(o) }},
+		{"guarded", func(o harness.Options) (renderer, error) { return harness.RunGuardedStudy(o) }},
+		{"quality", func(o harness.Options) (renderer, error) { return harness.RunQualityStudy(o) }},
+		{"width", func(o harness.Options) (renderer, error) { return harness.RunWidthStudy(o) }},
+	}
+	for _, st := range studies {
+		t.Run(st.name, func(t *testing.T) {
+			s, err := st.run(harness.Options{Scale: 1, Models: limits.AllModels()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkGolden(t, "study-"+st.name+".txt", s.Render())
+		})
+	}
+}
+
+// checkGolden compares got byte for byte against testdata/golden/file.
+func checkGolden(t *testing.T, file, got string) {
+	t.Helper()
+	want, err := os.ReadFile(filepath.Join("testdata", "golden", file))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("%s differs from the golden file:\n got:\n%s\nwant:\n%s", file, got, want)
 	}
 }
 

@@ -53,8 +53,7 @@ func NewChaos(seed int64, benches []string) *Chaos {
 			p = &Plan{Once: true, PanicConsumer: rng.Intn(4), PanicAtSeq: 1 + rng.Int63n(500)}
 		case 2:
 			// A consumer runs slow but keeps moving — exercises flow
-			// control and (when armed) the stall watchdog's tolerance
-			// for slow-but-live analyzers.  Never a failure.
+			// control.  Never a failure.
 			p = &Plan{Once: true, SlowConsumer: rng.Intn(4), SlowEvery: 512, SlowFor: time.Millisecond}
 		default:
 			// No pipeline fault for this benchmark this run.

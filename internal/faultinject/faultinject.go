@@ -17,15 +17,17 @@ var ErrInjectedTrap = errors.New("faultinject: injected trap")
 // Plan describes one deterministic fault schedule.  The zero value
 // injects nothing; each fault arms independently when its trigger field
 // is positive.  Sequence numbers refer to vm.Event.Seq, so a fault lands
-// on the same dynamic instruction in every run of the same program.
+// on the same dynamic instruction (or, for the consumer faults, the same
+// replay chunk — the one holding that instruction) in every run of the
+// same program.
 type Plan struct {
 	// TrapAtStep > 0 aborts the VM run with ErrInjectedTrap at the first
 	// cancellation check at or after that step.
 	TrapAtStep int64
 
 	// PanicAtSeq > 0 makes consumer PanicConsumer panic immediately
-	// before stepping the event with that sequence number, simulating an
-	// analyzer bug on one worker goroutine.
+	// before stepping the chunk that holds that sequence number,
+	// simulating an analyzer bug on one worker goroutine.
 	PanicConsumer int
 	PanicAtSeq    int64
 
@@ -35,27 +37,24 @@ type Plan struct {
 	CorruptAtSeq int64
 
 	// StallAtSeq > 0 makes consumer StallConsumer sleep StallFor before
-	// stepping that event, long enough for the producer to fill every
-	// ring slot and block on flow control.
+	// stepping the chunk that holds that sequence number, long enough
+	// for the producer to fill every ring slot and block on flow control.
 	StallConsumer int
 	StallAtSeq    int64
 	StallFor      time.Duration
 
-	// SlowEvery > 0 makes consumer SlowConsumer sleep SlowFor before
-	// stepping every event whose sequence number is a multiple of
-	// SlowEvery — steady sub-deadline progress rather than the one-shot
-	// stall above, so a watchdog deadline can be probed at finer
-	// granularity than its timeout (a slow-but-moving consumer must
-	// survive; a stalled one must not).
+	// SlowEvery > 0 makes consumer SlowConsumer sleep SlowFor once
+	// before stepping each chunk that holds a multiple of SlowEvery —
+	// steady slow progress rather than the one-shot stall above.
 	SlowConsumer int
 	SlowEvery    int64
 	SlowFor      time.Duration
 
 	// DropFromSeq > 0 makes consumer DropConsumer silently skip every
-	// event from that sequence number on.  An analyzer fed a truncated
-	// trace computes a bogus schedule while its siblings see the whole
-	// trace — the cheapest deterministic way to seed a model-ordering
-	// invariant violation for limits.CheckOrdering.
+	// chunk whose last event is at or after that sequence number.  An
+	// analyzer fed a truncated trace computes a bogus schedule while its
+	// siblings see the whole trace — the cheapest deterministic way to
+	// seed a model-ordering invariant violation for limits.CheckOrdering.
 	DropConsumer int
 	DropFromSeq  int64
 
@@ -124,30 +123,27 @@ func (p *Plan) Hooks() *limits.ReplayHooks {
 			p.corrupted.Add(1)
 		}
 	}
-	if p.PanicAtSeq > 0 || p.StallAtSeq > 0 || p.SlowEvery > 0 {
+	if p.PanicAtSeq > 0 || p.StallAtSeq > 0 || p.SlowEvery > 0 || p.DropFromSeq > 0 {
 		armed = true
-		h.BeforeStep = func(id int, ev limits.AnnotatedEvent) {
-			if p.StallAtSeq > 0 && id == p.StallConsumer && ev.Seq == p.StallAtSeq && !p.spent(&p.stallOnce) {
+		h.BeforeChunk = func(id int, c *limits.Chunk) bool {
+			first, last := c.Base(), c.Base()+int64(c.Len())-1
+			holds := func(seq int64) bool { return first <= seq && seq <= last }
+			if p.StallAtSeq > 0 && id == p.StallConsumer && holds(p.StallAtSeq) && !p.spent(&p.stallOnce) {
 				p.stalled.Add(1)
 				time.Sleep(p.StallFor)
 			}
 			// Slow is exempt from Once: it delays, never fails, so
 			// re-firing across retries cannot burn the retry budget.
-			if p.SlowEvery > 0 && id == p.SlowConsumer && ev.Seq%p.SlowEvery == 0 {
+			if p.SlowEvery > 0 && id == p.SlowConsumer && last/p.SlowEvery*p.SlowEvery >= first {
 				p.slowed.Add(1)
 				time.Sleep(p.SlowFor)
 			}
-			if p.PanicAtSeq > 0 && id == p.PanicConsumer && ev.Seq == p.PanicAtSeq && !p.spent(&p.panicOnce) {
+			if p.PanicAtSeq > 0 && id == p.PanicConsumer && holds(p.PanicAtSeq) && !p.spent(&p.panicOnce) {
 				p.panicked.Add(1)
-				panic(fmt.Sprintf("faultinject: planned panic in consumer %d at seq %d", id, ev.Seq))
+				panic(fmt.Sprintf("faultinject: planned panic in consumer %d at seq %d", id, p.PanicAtSeq))
 			}
-		}
-	}
-	if p.DropFromSeq > 0 {
-		armed = true
-		h.DropStep = func(id int, ev limits.AnnotatedEvent) bool {
-			if id == p.DropConsumer && ev.Seq >= p.DropFromSeq {
-				p.dropped.Add(1)
+			if p.DropFromSeq > 0 && id == p.DropConsumer && last >= p.DropFromSeq {
+				p.dropped.Add(int64(c.Len()))
 				return true
 			}
 			return false
@@ -165,7 +161,7 @@ func (p *Plan) Fired() (trapped, panicked, corrupted, stalled int64) {
 	return p.trapped.Load(), p.panicked.Load(), p.corrupted.Load(), p.stalled.Load()
 }
 
-// FiredSlow reports how many events the slow-consumer plan delayed.
+// FiredSlow reports how many chunks the slow-consumer plan delayed.
 func (p *Plan) FiredSlow() int64 { return p.slowed.Load() }
 
 // FiredDropped reports how many events the drop plan skipped.

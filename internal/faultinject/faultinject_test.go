@@ -3,6 +3,7 @@ package faultinject
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -73,11 +74,14 @@ func build(t *testing.T) *fixture {
 	return &fixture{machine: machine, static: st, fullSteps: full}
 }
 
-// analyzers builds n analyzers cycling through every machine model.
-// Unrolling stays off so loop back-edges reach the analyzers — perfect
-// unrolling would hide a corrupted branch event from every model.
+// analyzers builds n analyzers cycling through every machine model,
+// speculative models first: their schedules hinge on each branch's
+// predicted outcome, so even a lone analyzer observes a corrupted
+// branch.  Unrolling stays off so loop back-edges reach the analyzers —
+// perfect unrolling would hide a corrupted branch event from every model.
 func (f *fixture) analyzers(n int) []*limits.Analyzer {
-	models := limits.AllModels()
+	all := limits.AllModels()
+	models := append(all[3:], all[:3]...) // SP, SP-CD, SP-CD-MF, ORACLE, BASE, CD, CD-MF
 	as := make([]*limits.Analyzer, n)
 	for i := range as {
 		as[i] = limits.NewAnalyzer(f.static, models[i%len(models)], false, len(f.machine.Mem))
@@ -124,83 +128,98 @@ func TestTrapAtStepAborts(t *testing.T) {
 	}
 }
 
+// analyzerCounts are the replay widths every hook-plan test runs at: one
+// analyzer steps inline on the producer's goroutine, three fan out
+// through the ring.  Both reach the same chunk-level hooks.  Each test
+// aims its consumer fault at the last analyzer, n-1.
+var analyzerCounts = []int{1, 3}
+
+// replay runs the fixture's trace through as under plan's hooks and,
+// when m is non-nil, ring telemetry.
+func (f *fixture) replay(ctx context.Context, hooks *limits.ReplayHooks, m *telemetry.Registry, as []*limits.Analyzer) error {
+	f.machine.Reset()
+	return limits.ReplayWith(ctx, limits.ReplayOptions{Metrics: m, Hooks: hooks}, f.machine.RunContext, as...)
+}
+
 func TestConsumerPanicDetachesAndRethrows(t *testing.T) {
 	f := build(t)
-	const n = 4
-	ref := f.serialResults(t, n)
-	plan := &Plan{PanicConsumer: 2, PanicAtSeq: limits.ChunkEvents*3 + 17}
-	as := f.analyzers(n)
+	for _, n := range analyzerCounts {
+		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
+			ref := f.serialResults(t, n)
+			plan := &Plan{PanicConsumer: n - 1, PanicAtSeq: limits.ChunkEvents*3 + 17}
+			as := f.analyzers(n)
 
-	var pe *limits.PanicError
-	func() {
-		defer func() {
-			p := recover()
+			var p interface{}
+			func() {
+				defer func() { p = recover() }()
+				_ = f.replay(context.Background(), plan.Hooks(), nil, as)
+			}()
 			if p == nil {
+				t.Fatal("planned consumer panic never surfaced from the replay")
+			}
+			if _, panicked, _, _ := plan.Fired(); panicked != 1 {
+				t.Fatalf("panic fired %d times, want 1", panicked)
+			}
+			if n == 1 {
+				// The inline loop panics on the caller's goroutine,
+				// which already holds the faulting stack.
 				return
 			}
-			var ok bool
-			if pe, ok = p.(*limits.PanicError); !ok {
-				t.Errorf("panic value is %T, want *limits.PanicError", p)
+			pe, ok := p.(*limits.PanicError)
+			if !ok {
+				t.Fatalf("panic value is %T, want *limits.PanicError", p)
 			}
-		}()
-		_ = limits.ReplayFaults(context.Background(), plan.Hooks(), f.machine.RunContext, as...)
-	}()
-
-	if pe == nil {
-		t.Fatal("planned consumer panic never surfaced from Replay")
-	}
-	if len(pe.Stack) == 0 {
-		t.Error("PanicError carries no stack trace")
-	}
-	if _, panicked, _, _ := plan.Fired(); panicked != 1 {
-		t.Fatalf("panic fired %d times, want 1", panicked)
-	}
-	// The panicking consumer was detached, so every other consumer must
-	// have drained the full trace and match the serial reference.
-	for i, a := range as {
-		if i == plan.PanicConsumer {
-			continue
-		}
-		if !reflect.DeepEqual(a.Result(), ref[i]) {
-			t.Errorf("surviving analyzer %d diverged from serial reference", i)
-		}
+			if len(pe.Stack) == 0 {
+				t.Error("PanicError carries no stack trace")
+			}
+			// The panicking consumer was detached, so every other
+			// consumer must have drained the full trace and match the
+			// serial reference.
+			for i, a := range as {
+				if i != plan.PanicConsumer && !reflect.DeepEqual(a.Result(), ref[i]) {
+					t.Errorf("surviving analyzer %d diverged from serial reference", i)
+				}
+			}
+		})
 	}
 }
 
 func TestStalledConsumerFlowControlRecovers(t *testing.T) {
 	f := build(t)
-	const n = 3
-	ref := f.serialResults(t, n)
-	plan := &Plan{
-		StallConsumer: 0,
-		StallAtSeq:    limits.ChunkEvents + 3,
-		StallFor:      150 * time.Millisecond,
-	}
-	as := f.analyzers(n)
-	start := time.Now()
-	err := limits.ReplayFaults(context.Background(), plan.Hooks(), f.machine.RunContext, as...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if elapsed := time.Since(start); elapsed < plan.StallFor {
-		t.Fatalf("replay finished in %v, before the %v stall elapsed", elapsed, plan.StallFor)
-	}
-	if _, _, _, stalled := plan.Fired(); stalled != 1 {
-		t.Fatalf("stall fired %d times, want 1", stalled)
-	}
-	// Flow control blocked the producer while the consumer slept; once it
-	// woke, no events were lost or reordered.
-	for i, a := range as {
-		if !reflect.DeepEqual(a.Result(), ref[i]) {
-			t.Errorf("analyzer %d diverged after stall", i)
-		}
+	for _, n := range analyzerCounts {
+		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
+			ref := f.serialResults(t, n)
+			plan := &Plan{
+				StallConsumer: n - 1,
+				StallAtSeq:    limits.ChunkEvents + 3,
+				StallFor:      150 * time.Millisecond,
+			}
+			as := f.analyzers(n)
+			start := time.Now()
+			if err := f.replay(context.Background(), plan.Hooks(), nil, as); err != nil {
+				t.Fatal(err)
+			}
+			if elapsed := time.Since(start); elapsed < plan.StallFor {
+				t.Fatalf("replay finished in %v, before the %v stall elapsed", elapsed, plan.StallFor)
+			}
+			if _, _, _, stalled := plan.Fired(); stalled != 1 {
+				t.Fatalf("stall fired %d times, want 1", stalled)
+			}
+			// Flow control blocked the producer while the consumer
+			// slept; once it woke, no events were lost or reordered.
+			for i, a := range as {
+				if !reflect.DeepEqual(a.Result(), ref[i]) {
+					t.Errorf("analyzer %d diverged after stall", i)
+				}
+			}
+		})
 	}
 }
 
 func TestCorruptChunkSkewsResults(t *testing.T) {
 	f := build(t)
 	// Pick a taken branch past the first chunk so the corruption flows
-	// through publish, not the degenerate pre-ring path.
+	// through a later publish, not the first one.
 	target := int64(-1)
 	if err := f.machine.Run(func(ev vm.Event) {
 		if target < 0 && ev.Seq > int64(limits.ChunkEvents) && ev.Taken {
@@ -209,30 +228,32 @@ func TestCorruptChunkSkewsResults(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	f.machine.Reset()
 	if target < 0 {
 		t.Fatal("trace has no taken branch past the first chunk")
 	}
 
-	const n = 7
-	ref := f.serialResults(t, n)
-	plan := &Plan{CorruptAtSeq: target}
-	as := f.analyzers(n)
-	if err := limits.ReplayFaults(context.Background(), plan.Hooks(), f.machine.RunContext, as...); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, corrupted, _ := plan.Fired(); corrupted == 0 {
-		t.Fatal("corruption never fired")
-	}
-	diverged := false
-	for i, a := range as {
-		if !reflect.DeepEqual(a.Result(), ref[i]) {
-			diverged = true
-			break
-		}
-	}
-	if !diverged {
-		t.Error("corrupted chunk left every analyzer result unchanged; the fault never reached the consumers")
+	for _, n := range analyzerCounts {
+		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
+			ref := f.serialResults(t, n)
+			plan := &Plan{CorruptAtSeq: target}
+			as := f.analyzers(n)
+			if err := f.replay(context.Background(), plan.Hooks(), nil, as); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, corrupted, _ := plan.Fired(); corrupted == 0 {
+				t.Fatal("corruption never fired")
+			}
+			diverged := false
+			for i, a := range as {
+				if !reflect.DeepEqual(a.Result(), ref[i]) {
+					diverged = true
+					break
+				}
+			}
+			if !diverged {
+				t.Error("corrupted chunk left every analyzer result unchanged; the fault never reached the consumers")
+			}
+		})
 	}
 }
 
@@ -240,159 +261,115 @@ func TestCorruptChunkSkewsResults(t *testing.T) {
 // story through the pipeline's worst recovery path: one consumer
 // panics mid-trace, the fan-out detaches it and rethrows after the
 // survivors drain — and the registry still records the detach, the full
-// event stream, and untouched results for every surviving analyzer.
+// event stream, and untouched results for every surviving analyzer.  The
+// inline loop has no ring to detach from; its panic unwinds the
+// producer, and the decode counters it already gathered still reach the
+// registry.
 func TestMetricsSurviveConsumerPanic(t *testing.T) {
 	f := build(t)
-	const n = 4
-	ref := f.serialResults(t, n)
 	var trace int64
 	if err := f.machine.Run(func(vm.Event) { trace++ }); err != nil {
 		t.Fatal(err)
 	}
-	f.machine.Reset()
-	plan := &Plan{PanicConsumer: 1, PanicAtSeq: limits.ChunkEvents*2 + 9}
-	as := f.analyzers(n)
-	hooks := plan.Hooks()
-	hooks.Metrics = telemetry.NewRegistry()
+	for _, n := range analyzerCounts {
+		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
+			ref := f.serialResults(t, n)
+			plan := &Plan{PanicConsumer: n - 1, PanicAtSeq: limits.ChunkEvents*2 + 9}
+			as := f.analyzers(n)
+			m := telemetry.NewRegistry()
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Error("planned consumer panic never surfaced")
+					}
+				}()
+				_ = f.replay(context.Background(), plan.Hooks(), m, as)
+			}()
 
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("planned consumer panic never surfaced")
+			s := m.Snapshot()
+			if n == 1 {
+				if got := s.Counters["decode.events"]; got <= plan.PanicAtSeq {
+					t.Errorf("decode.events = %d, want past the panic at seq %d", got, plan.PanicAtSeq)
+				}
+				if _, ok := s.Counters["ring.events"]; ok {
+					t.Error("the inline loop recorded ring metrics")
+				}
+				return
 			}
-		}()
-		_ = limits.ReplayFaults(context.Background(), hooks, f.machine.RunContext, as...)
-	}()
-
-	s := hooks.Metrics.Snapshot()
-	if got := s.Counters["ring.detaches"]; got != 1 {
-		t.Errorf("ring.detaches = %d, want 1", got)
-	}
-	// The producer kept publishing after the detach: the ring carries the
-	// complete trace for the survivors.
-	if got := s.Counters["ring.events"]; got != trace {
-		t.Errorf("ring.events = %d, want full trace %d", got, trace)
-	}
-	wantChunks := (trace + limits.ChunkEvents - 1) / limits.ChunkEvents
-	if got := s.Counters["ring.chunks"]; got != wantChunks {
-		t.Errorf("ring.chunks = %d, want %d", got, wantChunks)
-	}
-	for i, a := range as {
-		if i == plan.PanicConsumer {
-			continue
-		}
-		if !reflect.DeepEqual(a.Result(), ref[i]) {
-			t.Errorf("surviving analyzer %d diverged from serial reference", i)
-		}
+			if got := s.Counters["ring.detaches"]; got != 1 {
+				t.Errorf("ring.detaches = %d, want 1", got)
+			}
+			// The producer kept publishing after the detach: the ring
+			// carries the complete trace for the survivors.
+			if got := s.Counters["ring.events"]; got != trace {
+				t.Errorf("ring.events = %d, want full trace %d", got, trace)
+			}
+			wantChunks := (trace + limits.ChunkEvents - 1) / limits.ChunkEvents
+			if got := s.Counters["ring.chunks"]; got != wantChunks {
+				t.Errorf("ring.chunks = %d, want %d", got, wantChunks)
+			}
+			for i, a := range as {
+				if i != plan.PanicConsumer && !reflect.DeepEqual(a.Result(), ref[i]) {
+					t.Errorf("surviving analyzer %d diverged from serial reference", i)
+				}
+			}
+		})
 	}
 }
 
 func TestCancellationUnblocksStalledRing(t *testing.T) {
 	f := build(t)
-	// Stall a consumer on its very first chunk for far longer than the
-	// deadline: the producer fills every ring slot and blocks, and only
-	// the abort path can unwedge the pipeline.
-	plan := &Plan{
-		StallConsumer: 1,
-		StallAtSeq:    5,
-		StallFor:      400 * time.Millisecond,
-	}
-	as := f.analyzers(3)
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
-	defer cancel()
-	err := limits.ReplayFaults(ctx, plan.Hooks(), f.machine.RunContext, as...)
-	if !errors.Is(err, vm.ErrCanceled) {
-		t.Fatalf("Replay error = %v, want vm.ErrCanceled", err)
-	}
-	if _, _, _, stalled := plan.Fired(); stalled != 1 {
-		t.Fatalf("stall fired %d times, want 1", stalled)
-	}
-}
-
-// TestWatchdogDetachesStalledConsumer proves the stall watchdog's core
-// promise: a consumer wedged mid-chunk is detached within the deadline
-// (not after its sleep finally ends), the replay finishes for everyone
-// else with correct results, and the failure surfaces as a structured
-// *limits.StallError.
-func TestWatchdogDetachesStalledConsumer(t *testing.T) {
-	f := build(t)
-	const n = 3
-	ref := f.serialResults(t, n)
-	plan := &Plan{
-		StallConsumer: 1,
-		StallAtSeq:    limits.ChunkEvents + 3,
-		StallFor:      3 * time.Second, // far beyond the deadline
-	}
-	as := f.analyzers(n)
-	hooks := plan.Hooks()
-	hooks.Metrics = telemetry.NewRegistry()
-	start := time.Now()
-	err := limits.ReplayWith(context.Background(),
-		limits.ReplayOptions{Hooks: hooks, Watchdog: 100 * time.Millisecond},
-		f.machine.RunContext, as...)
-	elapsed := time.Since(start)
-
-	var se *limits.StallError
-	if !errors.As(err, &se) {
-		t.Fatalf("Replay error = %v, want *limits.StallError", err)
-	}
-	if len(se.Consumers) != 1 || se.Consumers[0] != plan.StallConsumer {
-		t.Fatalf("StallError.Consumers = %v, want [%d]", se.Consumers, plan.StallConsumer)
-	}
-	if se.Deadline != 100*time.Millisecond {
-		t.Errorf("StallError.Deadline = %v", se.Deadline)
-	}
-	if elapsed >= plan.StallFor {
-		t.Fatalf("replay took %v: it waited out the stall instead of detaching", elapsed)
-	}
-	if _, _, _, stalled := plan.Fired(); stalled != 1 {
-		t.Fatalf("stall fired %d times, want 1", stalled)
-	}
-	s := hooks.Metrics.Snapshot()
-	if got := s.Counters["ring.watchdog_detaches"]; got != 1 {
-		t.Errorf("ring.watchdog_detaches = %d, want 1", got)
-	}
-	if got := s.Counters["ring.detaches"]; got != 1 {
-		t.Errorf("ring.detaches = %d, want 1", got)
-	}
-	// Every surviving consumer drained the full trace.
-	for i, a := range as {
-		if i == plan.StallConsumer {
-			continue
-		}
-		if !reflect.DeepEqual(a.Result(), ref[i]) {
-			t.Errorf("surviving analyzer %d diverged after watchdog detach", i)
-		}
+	for _, n := range analyzerCounts {
+		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
+			// Stall a consumer on its very first chunk for far longer
+			// than the deadline: on the fan-out the producer fills every
+			// ring slot and blocks, and only the abort path can unwedge
+			// the pipeline.
+			plan := &Plan{
+				StallConsumer: n - 1,
+				StallAtSeq:    5,
+				StallFor:      400 * time.Millisecond,
+			}
+			as := f.analyzers(n)
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
+			defer cancel()
+			err := f.replay(ctx, plan.Hooks(), nil, as)
+			if !errors.Is(err, vm.ErrCanceled) {
+				t.Fatalf("Replay error = %v, want vm.ErrCanceled", err)
+			}
+			if _, _, _, stalled := plan.Fired(); stalled != 1 {
+				t.Fatalf("stall fired %d times, want 1", stalled)
+			}
+		})
 	}
 }
 
-// TestWatchdogToleratesSlowConsumer drives the SlowConsumer plan: a
-// consumer that is delayed on every chunk but keeps completing them
-// within the deadline must never be detached, and the replay must end
-// with every analyzer correct.
-func TestWatchdogToleratesSlowConsumer(t *testing.T) {
+// TestSlowConsumerKeepsResults drives the SlowConsumer plan: a consumer
+// that is delayed on every few chunks but keeps completing them must end
+// the replay with every analyzer correct.
+func TestSlowConsumerKeepsResults(t *testing.T) {
 	f := build(t)
-	const n = 3
-	ref := f.serialResults(t, n)
-	plan := &Plan{
-		SlowConsumer: 0,
-		SlowEvery:    limits.ChunkEvents * 8, // a handful of delays across the trace
-		SlowFor:      20 * time.Millisecond,  // well inside the deadline
-	}
-	as := f.analyzers(n)
-	err := limits.ReplayWith(context.Background(),
-		limits.ReplayOptions{Hooks: plan.Hooks(), Watchdog: 500 * time.Millisecond},
-		f.machine.RunContext, as...)
-	if err != nil {
-		t.Fatalf("Replay error = %v, want nil (slow progress is not a stall)", err)
-	}
-	if plan.FiredSlow() == 0 {
-		t.Fatal("slow-consumer plan never fired")
-	}
-	for i, a := range as {
-		if !reflect.DeepEqual(a.Result(), ref[i]) {
-			t.Errorf("analyzer %d diverged under the slow-consumer plan", i)
-		}
+	for _, n := range analyzerCounts {
+		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
+			ref := f.serialResults(t, n)
+			plan := &Plan{
+				SlowConsumer: n - 1,
+				SlowEvery:    limits.ChunkEvents * 8, // a handful of delays across the trace
+				SlowFor:      20 * time.Millisecond,
+			}
+			as := f.analyzers(n)
+			if err := f.replay(context.Background(), plan.Hooks(), nil, as); err != nil {
+				t.Fatalf("Replay error = %v, want nil (slow progress is not a failure)", err)
+			}
+			if plan.FiredSlow() == 0 {
+				t.Fatal("slow-consumer plan never fired")
+			}
+			for i, a := range as {
+				if !reflect.DeepEqual(a.Result(), ref[i]) {
+					t.Errorf("analyzer %d diverged under the slow-consumer plan", i)
+				}
+			}
+		})
 	}
 }
 
@@ -400,24 +377,27 @@ func TestWatchdogToleratesSlowConsumer(t *testing.T) {
 // chosen consumer and leaves its siblings on the reference schedule.
 func TestDropPlanStarvesOneConsumer(t *testing.T) {
 	f := build(t)
-	const n = 3
-	ref := f.serialResults(t, n)
-	plan := &Plan{DropConsumer: 2, DropFromSeq: limits.ChunkEvents + 1}
-	as := f.analyzers(n)
-	if err := limits.ReplayFaults(context.Background(), plan.Hooks(), f.machine.RunContext, as...); err != nil {
-		t.Fatal(err)
-	}
-	if plan.FiredDropped() == 0 {
-		t.Fatal("drop plan never fired")
-	}
-	for i, a := range as {
-		same := reflect.DeepEqual(a.Result(), ref[i])
-		if i == plan.DropConsumer && same {
-			t.Errorf("starved analyzer %d still matches the full-trace reference", i)
-		}
-		if i != plan.DropConsumer && !same {
-			t.Errorf("analyzer %d diverged though only consumer %d was starved", i, plan.DropConsumer)
-		}
+	for _, n := range analyzerCounts {
+		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
+			ref := f.serialResults(t, n)
+			plan := &Plan{DropConsumer: n - 1, DropFromSeq: limits.ChunkEvents + 1}
+			as := f.analyzers(n)
+			if err := f.replay(context.Background(), plan.Hooks(), nil, as); err != nil {
+				t.Fatal(err)
+			}
+			if plan.FiredDropped() == 0 {
+				t.Fatal("drop plan never fired")
+			}
+			for i, a := range as {
+				same := reflect.DeepEqual(a.Result(), ref[i])
+				if i == plan.DropConsumer && same {
+					t.Errorf("starved analyzer %d still matches the full-trace reference", i)
+				}
+				if i != plan.DropConsumer && !same {
+					t.Errorf("analyzer %d diverged though only consumer %d was starved", i, plan.DropConsumer)
+				}
+			}
+		})
 	}
 }
 
@@ -455,38 +435,41 @@ func TestCorruptionRoundTripLossless(t *testing.T) {
 		t.Fatal("trace has no taken branch past the first chunk")
 	}
 
-	plan := &Plan{CorruptAtSeq: target}
-	hooks := plan.Hooks()
-	corrupt := hooks.OnPublish
-	got := make([]limits.AnnotatedEvent, 0, len(want))
-	hooks.OnPublish = func(chunk int64, c *limits.Chunk) {
-		corrupt(chunk, c)
-		got = append(got, c.Events(nil)...)
-	}
-	as := f.analyzers(3)
-	if err := limits.ReplayFaults(context.Background(), hooks, f.machine.RunContext, as...); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, corrupted, _ := plan.Fired(); corrupted != 1 {
-		t.Fatalf("corruption fired %d times, want 1", corrupted)
-	}
-
-	if len(got) != len(want) {
-		t.Fatalf("observed %d events through publish, want %d", len(got), len(want))
-	}
-	for i, w := range want {
-		g := got[i]
-		if w.Seq == target {
-			exp := w
-			exp.Addr ^= 1
-			exp.Flags ^= limits.FlagTaken | limits.FlagMispredAll
-			if g != exp {
-				t.Fatalf("corrupted event: got %+v, want exactly the planned flips %+v (from %+v)", g, exp, w)
+	for _, n := range analyzerCounts {
+		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
+			plan := &Plan{CorruptAtSeq: target}
+			hooks := plan.Hooks()
+			corrupt := hooks.OnPublish
+			got := make([]limits.AnnotatedEvent, 0, len(want))
+			hooks.OnPublish = func(chunk int64, c *limits.Chunk) {
+				corrupt(chunk, c)
+				got = append(got, c.Events(nil)...)
 			}
-			continue
-		}
-		if g != w {
-			t.Fatalf("event %d changed through the columnar round trip: got %+v, want %+v", i, g, w)
-		}
+			if err := f.replay(context.Background(), hooks, nil, f.analyzers(n)); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, corrupted, _ := plan.Fired(); corrupted != 1 {
+				t.Fatalf("corruption fired %d times, want 1", corrupted)
+			}
+
+			if len(got) != len(want) {
+				t.Fatalf("observed %d events through publish, want %d", len(got), len(want))
+			}
+			for i, w := range want {
+				g := got[i]
+				if w.Seq == target {
+					exp := w
+					exp.Addr ^= 1
+					exp.Flags ^= limits.FlagTaken | limits.FlagMispredAll
+					if g != exp {
+						t.Fatalf("corrupted event: got %+v, want exactly the planned flips %+v (from %+v)", g, exp, w)
+					}
+					continue
+				}
+				if g != w {
+					t.Fatalf("event %d changed through the columnar round trip: got %+v, want %+v", i, g, w)
+				}
+			}
+		})
 	}
 }

@@ -43,11 +43,6 @@ type Options struct {
 	// footprint proportional to its working set, so saturating the cores
 	// is no longer memory-hungry).
 	Jobs int
-	// Serial steps every analyzer from the VM visitor in one goroutine —
-	// the pre-fan-out behavior — instead of the default chunked parallel
-	// replay (limits.Replay).  Both paths produce identical results; the
-	// escape hatch exists for debugging and single-core measurement.
-	Serial bool
 	// Progress, when non-nil, receives one line per pipeline stage.
 	// RunSuite interleaves lines from concurrent benchmarks; writes are
 	// serialized internally, so any io.Writer is safe here.
@@ -84,22 +79,16 @@ type Options struct {
 	// journal with the fingerprint from Options.JournalMeta.
 	Journal *journal.Journal
 	// Retries re-runs a benchmark that failed with a transient error
-	// (worker panic, injected fault, watchdog stall) up to this many
-	// extra times before recording the failure.  Deterministic failures
-	// — cancellation, step-limit overruns, model-ordering invariant
-	// violations — are never retried.  Attempt counts surface through
+	// (worker panic, injected fault) up to this many extra times before
+	// recording the failure.  Deterministic failures — cancellation,
+	// step-limit overruns, model-ordering invariant violations — are
+	// never retried.  Attempt counts surface through
 	// the "bench.<name>.retries" counter and BenchFailure.Attempts.
 	Retries int
 	// RetryBackoff is the delay before the first retry (default 100ms),
 	// doubling per attempt with jitter drawn from the upper half of the
 	// interval, so concurrent benchmarks retrying together spread out.
 	RetryBackoff time.Duration
-	// Watchdog, when positive, arms the replay ring's per-consumer stall
-	// watchdog: an analyzer worker that completes no chunk while one is
-	// available for this long is detached like a panicked worker and the
-	// benchmark fails with a *limits.StallError (a transient failure,
-	// eligible for Retries).  Zero disables the watchdog.
-	Watchdog time.Duration
 	// CellRunner, when non-nil, runs each suite cell in place of the
 	// direct call — perfbench wraps every benchmark in a timing span
 	// here and delegates to RunCell.  The runner must return the cell's
@@ -113,7 +102,7 @@ type Options struct {
 	// plan per benchmark — chaos runs plug a seeded schedule in here.
 	// A nil return leaves that benchmark alone.  The plan's VM trap
 	// installs as the machine's StepHook and its replay faults as the
-	// analysis hooks (parallel path only).  Faults does not participate
+	// analysis hooks.  Faults does not participate
 	// in JournalMeta: an injected fault either delays an attempt or
 	// aborts it (and the retry policy re-runs it); it never changes a
 	// completed benchmark's result.
@@ -139,7 +128,7 @@ type Options struct {
 var benchStartHook func(name string) error
 
 // analyzeHooks, when non-nil, installs fault-injection hooks into every
-// RunBenchmark analysis replay (parallel path only).  Resilience tests
+// RunBenchmark analysis replay.  Resilience tests
 // use it to seed analyzer-level faults — stalls, starved consumers that
 // violate the model-ordering invariant — through internal/faultinject;
 // it stays nil in production.
@@ -201,10 +190,9 @@ func (o Options) ctx() context.Context {
 // configuration, for journal.Open.  Only fields that change benchmark
 // results participate: Scale, MemWords, Optimize, StepLimit, the model
 // set and the benchmark list.  Concurrency and observability knobs
-// (Jobs, Serial, Progress, Metrics, Retries, Watchdog) are excluded —
-// the serial and parallel paths produce identical results, so a resumed
-// run may change them freely.  gitSHA is recorded for provenance but
-// does not gate resumption.
+// (Jobs, Progress, Metrics, Retries) are excluded — they cannot change
+// a result, so a resumed run may change them freely.  gitSHA is
+// recorded for provenance but does not gate resumption.
 func (o Options) JournalMeta(gitSHA string) journal.Meta {
 	o = o.withDefaults()
 	m := journal.Meta{
@@ -444,12 +432,12 @@ func RunBenchmark(b bench.Benchmark, opt Options) (*BenchResult, error) {
 	}
 
 	pred := prof.Predictor()
-	// The pre-decode stage: CFG/RDF construction plus the fused
+	// The static stage: CFG/RDF construction plus the fused
 	// per-instruction metadata table every analyzer and the annotation
 	// pass consume (see limits/predecode.go).
-	predecodeDone := stageTimer(scope, "predecode")
+	staticDone := stageTimer(scope, "static")
 	st, err := limits.NewStatic(prog, pred)
-	predecodeDone()
+	staticDone()
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", b.Name, err)
 	}
@@ -464,8 +452,8 @@ func RunBenchmark(b bench.Benchmark, opt Options) (*BenchResult, error) {
 	analyzeDone := stageTimer(scope, "analyze")
 	unrolled := limits.NewGroup(st, len(machine.Mem), opt.Models, true)
 	plain := limits.NewGroup(st, len(machine.Mem), opt.Models, false)
-	// Both paths pre-decode each event exactly once for all analyzers of
-	// both unroll configs; consumer/analyzer order is the unrolled
+	// The replay pre-decodes each event exactly once for all analyzers
+	// of both unroll configs; consumer/analyzer order is the unrolled
 	// analyzers in model order, then the plain ones.
 	all := make([]*limits.Analyzer, 0, len(unrolled.Analyzers)+len(plain.Analyzers))
 	all = append(all, unrolled.Analyzers...)
@@ -487,28 +475,20 @@ func RunBenchmark(b bench.Benchmark, opt Options) (*BenchResult, error) {
 	if pop != nil {
 		sink = pop.Sink()
 	}
-	if opt.Serial {
-		// The serial escape hatch shares the columnar chunking and the
-		// generated specialized steppers with the parallel path; only
-		// the goroutine fan-out differs.
-		err = limits.SerialReplayWith(ctx, sink, machine.RunContext, all...)
-	} else {
-		// Replay the trace once, fanning annotated chunks out to all
-		// analyzers, each scheduling on its own goroutine.  Ring
-		// consumer ids follow the slice order above.
-		hooks := analyzeHooks
-		if faultPlan != nil {
-			if h := faultPlan.Hooks(); h != nil {
-				hooks = h
-			}
+	// Replay the trace once, fanning annotated chunks out to all
+	// analyzers, each scheduling on its own goroutine.  Ring consumer
+	// ids follow the slice order above.
+	hooks := analyzeHooks
+	if faultPlan != nil {
+		if h := faultPlan.Hooks(); h != nil {
+			hooks = h
 		}
-		err = limits.ReplayWith(ctx, limits.ReplayOptions{
-			Metrics:  scope,
-			Hooks:    hooks,
-			Watchdog: opt.Watchdog,
-			Sink:     sink,
-		}, machine.RunContext, all...)
 	}
+	err = limits.ReplayWith(ctx, limits.ReplayOptions{
+		Metrics: scope,
+		Hooks:   hooks,
+		Sink:    sink,
+	}, machine.RunContext, all...)
 	analyzeDone()
 	if err != nil {
 		if pop != nil {
@@ -597,8 +577,7 @@ func runBenchmarkIsolated(b bench.Benchmark, opt Options) (res *BenchResult, err
 // re-running — or deterministic.  Cancellation and step-limit overruns
 // reproduce exactly; an invariant violation means the analysis computed
 // wrong numbers, and a retry that happened to pass would hide a bug.
-// Panics, injected faults, and watchdog stalls are environmental and
-// retry.
+// Panics and injected faults are environmental and retry.
 func retryable(err error) bool {
 	var inv *limits.InvariantError
 	switch {

@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -127,26 +126,6 @@ func TestOptionsDefaults(t *testing.T) {
 	o = Options{Scale: 3, MemWords: 4096, Models: []limits.Model{limits.SP}}.withDefaults()
 	if o.Scale != 3 || o.MemWords != 4096 || len(o.Models) != 1 {
 		t.Errorf("explicit options clobbered: %+v", o)
-	}
-}
-
-// The serial escape hatch and the default parallel fan-out must agree on
-// every figure the harness reports.
-func TestRunBenchmarkSerialMatchesParallel(t *testing.T) {
-	b, err := bench.ByName("irsim")
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := RunBenchmark(b, Options{Scale: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ser, err := RunBenchmark(b, Options{Scale: 1, Serial: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(par, ser) {
-		t.Errorf("serial and parallel benchmark results differ\nparallel: %+v\nserial:   %+v", par, ser)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"runtime/debug"
-	"time"
 
 	"ilplimit/internal/asm"
 	"ilplimit/internal/limits"
@@ -48,9 +47,6 @@ type JobSpec struct {
 	// StepLimit bounds VM execution (default 1<<32); ignored for trace
 	// jobs, whose length is fixed by the recording.
 	StepLimit int64
-	// Watchdog arms the replay ring's per-consumer stall watchdog
-	// (0 = off), exactly as Options.Watchdog does for suites.
-	Watchdog time.Duration
 	// TraceStore, when non-empty, is a persistent annotated trace store
 	// directory (Options.TraceStore): a warm entry for this program and
 	// model set replays zero-copy with no VM run, and a cold run writes
@@ -199,7 +195,7 @@ func analyzeJob(ctx context.Context, spec JobSpec) (*JobResult, error) {
 
 	// Analysis pass: one replay fans annotated chunks out to all models.
 	group := limits.NewGroup(st, spec.MemWords, spec.Models, !spec.DisableUnrolling)
-	ropt := limits.ReplayOptions{Metrics: spec.Metrics, Watchdog: spec.Watchdog}
+	ropt := limits.ReplayOptions{Metrics: spec.Metrics}
 	var run limits.RunFunc
 	var pop *tracestore.Populate
 	if spec.Trace != nil {

@@ -46,7 +46,7 @@ func recordAnalyzer(scope *telemetry.Registry, r limits.Result) {
 // table.  A live run fills profile and analyze, a warm trace-store run
 // fills cached_replay instead; "wall" covers the whole pipeline
 // including the untimed gaps between stages.
-var stageColumns = []string{"compile", "optimize", "profile", "predecode", "analyze", "cached_replay", "wall"}
+var stageColumns = []string{"compile", "optimize", "profile", "static", "analyze", "cached_replay", "wall"}
 
 // MetricsReport renders a telemetry snapshot as the human-readable
 // stage-timing report behind `ilplimit -metrics`: one row per benchmark

@@ -4,8 +4,11 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"ilplimit/internal/bench"
+	"ilplimit/internal/faultinject"
+	"ilplimit/internal/limits"
 	"ilplimit/internal/telemetry"
 )
 
@@ -38,7 +41,7 @@ func TestRunBenchmarkTelemetry(t *testing.T) {
 	snap, raw := runWithMetrics(t, "irsim", Options{})
 
 	for _, c := range []string{
-		"stage.compile_ns", "stage.profile_ns", "stage.analyze_ns", "stage.wall_ns",
+		"stage.compile_ns", "stage.profile_ns", "stage.static_ns", "stage.analyze_ns", "stage.wall_ns",
 		"vm.profile.instructions", "vm.profile.run_ns", "vm.profile.runs",
 		"vm.analysis.instructions", "vm.analysis.runs",
 		"ring.chunks", "ring.events",
@@ -68,6 +71,10 @@ func TestRunBenchmarkTelemetry(t *testing.T) {
 		if !strings.HasPrefix(name, "bench.irsim.") {
 			t.Errorf("unscoped metric %q in suite registry", name)
 		}
+	}
+	// The static stage (limits.NewStatic) has its own report column.
+	if cell := reportCell(t, MetricsReport(raw), "irsim", "static"); cell == "-" {
+		t.Errorf("live irsim row leaves the static column empty:\n%s", MetricsReport(raw))
 	}
 	// Analyzer results for all seven models, unrolled and plain.
 	var analyzer int
@@ -119,31 +126,31 @@ func reportCell(t *testing.T, report, benchName, column string) string {
 	return ""
 }
 
-// TestTelemetryDeterministicAcrossPaths pins snapshot determinism under
-// the serial/parallel equivalence guarantee: every scheduling-outcome
-// metric (analyzer cycles and instructions, VM instruction counts) is
-// identical whether the analyzers run serially in the VM visitor or
-// through the parallel chunked replay.  Timing and stall metrics are
-// excluded — they measure the machine, not the program.
+// TestTelemetryDeterministicAcrossPaths pins snapshot determinism
+// across ring interleavings: every scheduling-outcome metric (analyzer
+// cycles and instructions, VM instruction counts) is identical whether
+// the fan-out runs freely or one consumer is slowed on every few chunks,
+// which reshuffles how producer and consumers interleave.  Timing and
+// stall metrics are excluded — they measure the machine, not the
+// program.
 func TestTelemetryDeterministicAcrossPaths(t *testing.T) {
-	serial, _ := runWithMetrics(t, "irsim", Options{Serial: true})
-	parallel, _ := runWithMetrics(t, "irsim", Options{})
+	slow := func(string) *faultinject.Plan {
+		return &faultinject.Plan{SlowConsumer: 3, SlowEvery: 4 * limits.ChunkEvents, SlowFor: time.Millisecond}
+	}
+	clean, _ := runWithMetrics(t, "irsim", Options{})
+	slowed, _ := runWithMetrics(t, "irsim", Options{Faults: slow})
 	deterministic := func(name string) bool {
 		return strings.HasPrefix(name, "analyzer.") ||
 			strings.HasSuffix(name, ".instructions") ||
 			strings.HasSuffix(name, ".runs")
 	}
-	for name, sv := range serial.Counters {
+	for name, cv := range clean.Counters {
 		if !deterministic(name) {
 			continue
 		}
-		if pv, ok := parallel.Counters[name]; !ok || pv != sv {
-			t.Errorf("counter %s: serial=%d parallel=%d (ok=%v)", name, sv, pv, ok)
+		if sv, ok := slowed.Counters[name]; !ok || sv != cv {
+			t.Errorf("counter %s: clean=%d slowed=%d (ok=%v)", name, cv, sv, ok)
 		}
-	}
-	// The serial path never builds the ring.
-	if v, ok := serial.Counters["ring.chunks"]; ok {
-		t.Errorf("serial run recorded ring.chunks = %d, want no ring metrics", v)
 	}
 }
 

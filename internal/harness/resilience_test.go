@@ -19,7 +19,7 @@ func withBenchHook(t *testing.T, hook func(name string) error) {
 	t.Cleanup(func() { benchStartHook = nil })
 }
 
-// fastSuite keeps the degraded-suite tests cheap: one model, serial off.
+// fastSuite keeps the degraded-suite tests cheap: one model.
 func fastSuite() Options {
 	return Options{Models: []limits.Model{limits.SP}}
 }

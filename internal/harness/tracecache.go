@@ -94,9 +94,9 @@ func cachedBenchmark(ctx context.Context, b bench.Benchmark, opt Options, prog *
 			res, err = nil, nil
 		}
 	}()
-	predecodeDone := stageTimer(scope, "predecode")
+	staticDone := stageTimer(scope, "static")
 	st, serr := limits.NewStatic(prog, cachedOracle{b.Name})
-	predecodeDone()
+	staticDone()
 	if serr != nil {
 		// The live path would fail identically; let it produce the error.
 		return nil, nil
@@ -129,7 +129,7 @@ func cachedBenchmark(ctx context.Context, b bench.Benchmark, opt Options, prog *
 	logf("[%s] analyzing %d models x 2 unroll configs over %d instructions (cached trace, %d frames)",
 		b.Name, len(opt.Models), sm.Steps, rep.Frames())
 	replayDone := stageTimer(scope, "cached_replay")
-	rerr := rep.Run(ctx, opt.Serial, all...)
+	rerr := rep.Run(ctx, all...)
 	replayDone()
 	if rerr != nil {
 		// Every frame was CRC-validated at Open, so a mid-replay error
@@ -203,7 +203,7 @@ func cachedStudyReplay(opt Options, name, predictors string, prog *isa.Program, 
 	}
 	if rep, oerr := store.Open(key); oerr == nil {
 		defer rep.Close()
-		return true, rep.Run(opt.ctx(), opt.Serial, analyzers...)
+		return true, rep.Run(opt.ctx(), analyzers...)
 	}
 	// Miss or unusable file: trace live and write through.  Studies
 	// carry their statistics outside the store, so the sidecar is empty.
@@ -212,11 +212,7 @@ func cachedStudyReplay(opt Options, name, predictors string, prog *isa.Program, 
 	if perr == nil {
 		sink = pop.Sink()
 	}
-	if opt.Serial {
-		err = limits.SerialReplayWith(opt.ctx(), sink, machine.RunContext, analyzers...)
-	} else {
-		err = limits.ReplayWith(opt.ctx(), limits.ReplayOptions{Sink: sink}, machine.RunContext, analyzers...)
-	}
+	err = limits.ReplayWith(opt.ctx(), limits.ReplayOptions{Sink: sink}, machine.RunContext, analyzers...)
 	if perr == nil {
 		if err != nil {
 			pop.Abort()
@@ -268,7 +264,7 @@ func cachedJob(ctx context.Context, spec JobSpec, prog *isa.Program) (res *JobRe
 		return nil, nil
 	}
 	defer rep.Close()
-	if rerr := rep.Run(ctx, false, group.Analyzers...); rerr != nil {
+	if rerr := rep.Run(ctx, group.Analyzers...); rerr != nil {
 		return nil, fmt.Errorf("job: analysis run: %w", rerr)
 	}
 	par := make(map[limits.Model]float64, len(spec.Models))

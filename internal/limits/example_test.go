@@ -1,6 +1,7 @@
 package limits_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -46,7 +47,7 @@ int main() {
 	machine.Reset()
 	group := limits.NewGroup(st, len(machine.Mem),
 		[]limits.Model{limits.Base, limits.SPCDMF, limits.Oracle}, true)
-	if err := machine.Run(group.Visitor()); err != nil {
+	if err := limits.ReplayContext(context.Background(), machine.RunContext, group.Analyzers...); err != nil {
 		log.Fatal(err)
 	}
 	for _, r := range group.Results() {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"runtime/debug"
-	"sort"
 	"sync"
 	"time"
 
@@ -16,23 +15,24 @@ import (
 // same dynamic trace under its own model with no shared mutable state.
 // Stepping all of them from the VM's visitor callback therefore serializes
 // work that is embarrassingly parallel — with 7 models × 2 unroll configs
-// the analysis pass costs 14× a single model's wall clock.  Replay instead
+// the analysis pass costs 14× a single model's wall clock.  ReplayWith instead
 // runs the trace producer once, batches events into fixed-size chunks, and
 // publishes every chunk through a bounded single-producer/multi-consumer
 // broadcast ring; each analyzer drains the ring on its own goroutine at
-// its own pace.  Results are bit-identical to the serial path because each
+// its own pace.  Results are bit-identical to the serial loop because each
 // analyzer still observes the complete trace in order.
 
 const (
 	// ChunkEvents is the number of trace events batched per ring slot.
 	// Chunking amortizes ring synchronization (a handful of mutex
-	// operations per chunk) over thousands of Step calls; 4096 events is
-	// 128 KiB per slot, comfortably inside L2.
+	// operations per chunk) over thousands of Step calls; at 12 bytes per
+	// columnar event, 4096 events is 48 KiB per slot, comfortably inside
+	// L2.
 	ChunkEvents = 4096
 
 	// RingSlots bounds the ring: the producer runs at most RingSlots
 	// chunks ahead of the slowest analyzer, capping buffered trace memory
-	// at RingSlots × ChunkEvents events (≈1 MiB).
+	// at RingSlots × ChunkEvents events (384 KiB).
 	RingSlots = 8
 )
 
@@ -50,7 +50,7 @@ type eventRing struct {
 	slots   [RingSlots]*Chunk
 	head    int64   // chunks published so far
 	tails   []int64 // per-consumer chunks fully consumed
-	cut     []bool  // per-consumer: detached (panicked or watchdog-killed)
+	cut     []bool  // per-consumer: detached (panicked, or a failed sink)
 	closed  bool
 	aborted bool
 	met     *ringMetrics // nil unless the replay is observed
@@ -66,8 +66,7 @@ type ringMetrics struct {
 	events     *telemetry.Counter   // "ring.events": events published
 	prodStalls *telemetry.Counter   // "ring.producer_stalls": reserves that blocked
 	consStalls *telemetry.Counter   // "ring.consumer_stalls": nexts that blocked, all consumers
-	detaches   *telemetry.Counter   // "ring.detaches": consumers removed after a panic or stall
-	wdDetaches *telemetry.Counter   // "ring.watchdog_detaches": detaches forced by the stall watchdog
+	detaches   *telemetry.Counter   // "ring.detaches": consumers removed after a panic or sink error
 	occupancy  *telemetry.Gauge     // "ring.occupancy_hwm": high-water mark of buffered chunks
 	latency    *telemetry.Histogram // "ring.chunk_latency_ns": publish→fully-drained per chunk
 	perCons    []*telemetry.Counter // "ring.consumerNN.stalls": per-analyzer stall counts
@@ -84,7 +83,6 @@ func newRingMetrics(m *telemetry.Registry, consumers int) *ringMetrics {
 		prodStalls: m.Counter("ring.producer_stalls"),
 		consStalls: m.Counter("ring.consumer_stalls"),
 		detaches:   m.Counter("ring.detaches"),
-		wdDetaches: m.Counter("ring.watchdog_detaches"),
 		occupancy:  m.Gauge("ring.occupancy_hwm"),
 		latency:    m.Histogram("ring.chunk_latency_ns", telemetry.LatencyBuckets),
 	}
@@ -105,9 +103,8 @@ func newEventRing(consumers int, met *ringMetrics) *eventRing {
 }
 
 // recycle returns the ring's slot chunks to chunkPool once the replay
-// is over.  Chunks handed off to abandoned (watchdog-detached)
-// consumers were already replaced at detach and stay with their zombie
-// goroutine, so nothing recycled here can still be read.
+// is over; every consumer goroutine has stopped by then, so nothing
+// recycled here can still be read.
 func (r *eventRing) recycle() {
 	r.mu.Lock()
 	for i := range r.slots {
@@ -242,35 +239,18 @@ func (r *eventRing) advance(id int) {
 }
 
 // detach removes consumer id from the flow-control accounting so a dead
-// consumer (its goroutine panicked, or the stall watchdog gave up on it)
-// can never block the producer.  Idempotent: only the first detach of a
-// consumer counts.
+// consumer (its goroutine panicked, or its sink failed) can never block
+// the producer.  Idempotent: only the first detach of a consumer counts.
 func (r *eventRing) detach(id int) {
 	r.mu.Lock()
-	r.detachLocked(id, false)
-	r.mu.Unlock()
-}
-
-// detachLocked is detach with r.mu held.  byWatchdog additionally counts
-// the detach against the watchdog metric and covers the one hazard a
-// watchdog kill has that a panic does not: the stuck goroutine may wake
-// later and keep reading its current chunk, so that chunk's slot gets a
-// fresh buffer — the producer recycles the new one while the zombie
-// consumer keeps the old backing array to itself.
-func (r *eventRing) detachLocked(id int, byWatchdog bool) {
+	defer r.mu.Unlock()
 	if r.cut[id] {
 		return
 	}
 	r.cut[id] = true
-	if byWatchdog && r.tails[id] < r.head {
-		r.slots[r.tails[id]%RingSlots] = getChunk()
-	}
 	r.tails[id] = int64(1) << 62
 	if r.met != nil {
 		r.met.detaches.Inc()
-		if byWatchdog {
-			r.met.wdDetaches.Inc()
-		}
 	}
 	r.avail.Signal()
 	r.ready.Broadcast()
@@ -280,74 +260,46 @@ func (r *eventRing) detachLocked(id int, byWatchdog bool) {
 // satisfies it directly.
 type RunFunc func(ctx context.Context, visit func(vm.Event)) error
 
-// ReplayHooks intercept the fan-out at its two seams — the producer's
-// publish and the consumers' per-event step — for deterministic fault
+// ReplayHooks intercept a replay at its two seams — the producer's
+// publish and each consumer's chunk step — for deterministic fault
 // injection (internal/faultinject).  Production replays run without
-// hooks; only ReplayFaults installs them.
+// hooks.  Both seams fire at chunk granularity on the single-analyzer
+// loop and the fan-out alike, so a hook plan behaves the same on both.
 type ReplayHooks struct {
 	// OnPublish runs in the producer goroutine right before chunk
 	// (zero-based) becomes visible; it may mutate the columnar chunk's
 	// events in place through Chunk.At/Chunk.Set (AnnotatedEvent.Event
 	// recovers the raw trace facts).
 	OnPublish func(chunk int64, c *Chunk)
-	// BeforeStep runs in consumer id's goroutine before each event is
-	// stepped; it may stall or panic.
-	BeforeStep func(id int, ev AnnotatedEvent)
-	// DropStep runs in consumer id's goroutine before each event;
-	// returning true skips stepping that event for that consumer only,
-	// desynchronizing one analyzer from the trace (the fault behind a
-	// seeded model-ordering violation).
-	DropStep func(id int, ev AnnotatedEvent) bool
-	// Metrics, when non-nil, observes the faulted replay exactly as
-	// ReplayObserved would, so fault-injection tests can assert that
-	// counters survive a recovery (panic + detach) intact.
-	Metrics *telemetry.Registry
+	// BeforeChunk runs in consumer id's goroutine before the consumer
+	// steps c; it may stall or panic, and returning true skips the chunk
+	// for that consumer only, desynchronizing one analyzer from the
+	// trace (the fault behind a seeded model-ordering violation).
+	BeforeChunk func(id int, c *Chunk) (skip bool)
 }
 
 // ReplayOptions bundles the optional knobs of a replay; the zero value
 // is a plain ReplayContext.
 type ReplayOptions struct {
-	// Metrics, when non-nil, records ring telemetry under "ring."; see
-	// ReplayObserved.
+	// Metrics, when non-nil, records the decode counters under "decode."
+	// and, on the fan-out, ring telemetry under "ring." — chunks/events
+	// published, producer and per-consumer stall counts, detaches, the
+	// occupancy high-water mark, and a publish→fully-drained latency
+	// histogram per chunk (the catalogue is in DESIGN.md §9).  All ring
+	// recording happens at chunk boundaries under the ring's existing
+	// mutex, so the per-event path is unchanged.
 	Metrics *telemetry.Registry
-	// Hooks installs fault-injection hooks; see ReplayHooks.  When both
-	// Metrics fields are set, ReplayOptions.Metrics wins.
+	// Hooks installs fault-injection hooks; see ReplayHooks.
 	Hooks *ReplayHooks
-	// Watchdog, when positive, arms the per-consumer stall watchdog: a
-	// consumer that completes no chunk while one is available for this
-	// long is detached exactly like a panicked worker — the producer and
-	// the surviving analyzers keep going — and the replay returns a
-	// *StallError naming the detached consumers.  The stuck goroutine is
-	// abandoned; it exits at its next ring interaction.  Only the
-	// fan-out path has a watchdog (a single analyzer steps inline in the
-	// producer, where there is no independent progress to watch).
-	Watchdog time.Duration
 	// Sink, when non-nil, additionally streams every published chunk to
-	// the trace store as one more ring consumer (see ChunkSink): it
-	// observes the same chunks in the same order as the analyzers, its
-	// first error detaches it without failing the replay, and on clean
-	// completion it receives the nil end-of-stream terminator.  The sink
-	// rides the fan-out and single-analyzer chunk paths; the per-event
-	// fault-hook path builds no chunks, so there Sink is ignored (the
-	// harness never populates the store under fault hooks — a mutated
-	// chunk must never be committed as a clean trace).
+	// the trace store (see ChunkSink): on the fan-out it is one more
+	// ring consumer, observing the same chunks in the same order as the
+	// analyzers; its first error detaches it without failing the
+	// replay, and on clean completion it receives the nil end-of-stream
+	// terminator.  The harness never populates the store while hooks
+	// are armed — a mutated chunk must never be committed as a clean
+	// trace.
 	Sink ChunkSink
-}
-
-// StallError reports consumers detached by the replay watchdog.  The
-// surviving analyzers hold complete results, but the replay as a whole
-// failed: the stalled analyzers' schedules are partial.
-type StallError struct {
-	// Consumers are the detached consumer ids, ascending.
-	Consumers []int
-	// Deadline is the watchdog deadline that expired.
-	Deadline time.Duration
-}
-
-// Error names the stalled consumers and the deadline they missed.
-func (e *StallError) Error() string {
-	return fmt.Sprintf("limits: watchdog detached stalled consumer(s) %v: no chunk progress within %v",
-		e.Consumers, e.Deadline)
 }
 
 // PanicError carries a panic raised on an analyzer worker goroutine
@@ -361,111 +313,32 @@ type PanicError struct {
 // Error renders the recovered panic value.
 func (e *PanicError) Error() string { return fmt.Sprintf("analyzer panic: %v", e.Value) }
 
-// Replay runs the trace source once and fans every event out to all
-// analyzers, each consuming on its own goroutine through a bounded
-// broadcast ring.  run is called with the visitor to drive exactly as it
-// would drive a Group.Visitor (typically run is (*vm.VM).Run).  Replay
-// returns run's error after all workers have stopped; on error the
-// analyzers' states are partial, exactly as after an aborted serial
-// replay.
-func Replay(run func(visit func(vm.Event)) error, analyzers ...*Analyzer) error {
-	return ReplayContext(context.Background(),
-		func(_ context.Context, visit func(vm.Event)) error { return run(visit) },
-		analyzers...)
-}
-
-// ReplayContext is Replay under a context: the producer is handed ctx (a
-// context-aware producer such as vm.RunContext aborts itself with
-// vm.ErrCanceled), the ring checks ctx at every chunk boundary, and a
-// cancellation wakes both a producer blocked on flow control and
-// consumers blocked on an empty ring.  ReplayContext does not return
-// until every worker goroutine has stopped, canceled or not.
+// ReplayContext is ReplayWith with no options.
 func ReplayContext(ctx context.Context, run RunFunc, analyzers ...*Analyzer) error {
 	return ReplayWith(ctx, ReplayOptions{}, run, analyzers...)
 }
 
-// ReplayObserved is ReplayContext with ring telemetry: the replay
-// registers its metrics under "ring." in m — chunks/events published,
-// producer and per-consumer stall counts, the occupancy high-water
-// mark, and a publish→fully-drained latency histogram per chunk (the
-// metric catalogue is in DESIGN.md §9).  All recording happens at chunk
-// boundaries under the ring's existing mutex, so the per-event path is
-// unchanged; a nil m is exactly ReplayContext.
-func ReplayObserved(ctx context.Context, m *telemetry.Registry, run RunFunc, analyzers ...*Analyzer) error {
-	return ReplayWith(ctx, ReplayOptions{Metrics: m}, run, analyzers...)
-}
-
-// ReplayFaults is ReplayContext with fault-injection hooks installed
-// (and, when hooks.Metrics is set, ring telemetry).  It exists for
-// internal/faultinject's resilience tests; production callers use
-// Replay, ReplayContext or ReplayObserved.
-func ReplayFaults(ctx context.Context, hooks *ReplayHooks, run RunFunc, analyzers ...*Analyzer) error {
-	o := ReplayOptions{Hooks: hooks}
-	if hooks != nil {
-		o.Metrics = hooks.Metrics
-	}
-	return ReplayWith(ctx, o, run, analyzers...)
-}
-
-// ReplayWith is the fully-general replay: ReplayContext plus whichever
-// of o's knobs — ring telemetry, fault hooks, stall watchdog — are set.
-// The other Replay variants are thin wrappers over it.
+// ReplayWith runs the trace source once and schedules every event
+// through all analyzers.  Events are annotated once on the producer
+// side and batched into columnar chunks.  A single analyzer steps each
+// chunk inline on the caller's goroutine; two or more fan out, each
+// consuming on its own goroutine through a bounded broadcast ring.
+// run is handed ctx (a context-aware producer such as vm.RunContext
+// aborts itself with vm.ErrCanceled), the fan-out checks ctx at every
+// chunk boundary, and a cancellation wakes both a producer blocked on
+// flow control and consumers blocked on an empty ring.  A worker panic
+// detaches that consumer and is rethrown as a *PanicError once the
+// others finish; a lone analyzer's panic unwinds the caller's goroutine
+// unchanged.  ReplayWith returns run's error after every worker has
+// stopped; on error the analyzers' states are partial.
 func ReplayWith(ctx context.Context, o ReplayOptions, run RunFunc, analyzers ...*Analyzer) error {
-	var beforeStep func(int, AnnotatedEvent)
-	var dropStep func(int, AnnotatedEvent) bool
-	var onPublish func(int64, *Chunk)
+	if len(analyzers) < 2 {
+		// A lone analyzer gains nothing from the ring.
+		return serialReplay(ctx, o, run, analyzers)
+	}
+	var hooks ReplayHooks
 	if o.Hooks != nil {
-		beforeStep, dropStep, onPublish = o.Hooks.BeforeStep, o.Hooks.DropStep, o.Hooks.OnPublish
-	}
-	if o.Metrics == nil && o.Hooks != nil {
-		o.Metrics = o.Hooks.Metrics
-	}
-	switch len(analyzers) {
-	case 0:
-		return canceledErr(ctx, run(ctx, func(vm.Event) {}))
-	case 1:
-		// A lone analyzer gains nothing from the ring; annotate into a
-		// local chunk and step it inline in the producer, so even the
-		// single-analyzer path streams the specialized columnar loop.
-		a := analyzers[0]
-		an := NewAnnotator(a)
-		defer an.flush(o.Metrics)
-		if beforeStep != nil || dropStep != nil {
-			return canceledErr(ctx, run(ctx, func(ev vm.Event) {
-				ae := an.Annotate(ev)
-				if beforeStep != nil {
-					beforeStep(0, ae)
-				}
-				if dropStep != nil && dropStep(0, ae) {
-					return
-				}
-				a.StepAnnotated(ae)
-			}))
-		}
-		c := getChunk()
-		defer putChunk(c)
-		sinkOK := o.Sink != nil
-		emit := func() {
-			a.StepChunk(c)
-			if sinkOK && o.Sink(c) != nil {
-				sinkOK = false
-			}
-		}
-		err := run(ctx, func(ev vm.Event) {
-			c.Append(an.Annotate(ev))
-			if c.Len() == ChunkEvents {
-				emit()
-				c.Reset()
-			}
-		})
-		if c.Len() > 0 {
-			emit()
-		}
-		err = canceledErr(ctx, err)
-		if err == nil && sinkOK {
-			_ = o.Sink(nil)
-		}
-		return err
+		hooks = *o.Hooks
 	}
 
 	an := NewAnnotator(analyzers...)
@@ -498,22 +371,18 @@ func ReplayWith(ctx context.Context, o ReplayOptions, run RunFunc, analyzers ...
 	}
 
 	var (
+		wg          sync.WaitGroup
 		panicMu     sync.Mutex
 		workerPanic *PanicError
 	)
-	done := make([]chan struct{}, len(analyzers))
-	killed := make([]chan struct{}, len(analyzers))
-	for i := range done {
-		done[i] = make(chan struct{})
-	}
 	for i, a := range analyzers {
+		wg.Add(1)
 		go func(id int, a *Analyzer) {
-			defer close(done[id])
+			defer wg.Done()
 			defer func() {
 				// A panicking Step must not strand the producer waiting
 				// for this consumer's slot; capture the first panic (with
-				// its stack) and rethrow it from Replay, like the serial
-				// path would.
+				// its stack) and rethrow it once every worker has stopped.
 				if p := recover(); p != nil {
 					panicMu.Lock()
 					if workerPanic == nil {
@@ -523,31 +392,14 @@ func ReplayWith(ctx context.Context, o ReplayOptions, run RunFunc, analyzers ...
 					r.detach(id)
 				}
 			}()
-			if beforeStep != nil || dropStep != nil {
-				for {
-					chunk := r.next(id)
-					if chunk == nil {
-						return
-					}
-					for i, n := 0, chunk.Len(); i < n; i++ {
-						ae := chunk.At(i)
-						if beforeStep != nil {
-							beforeStep(id, ae)
-						}
-						if dropStep != nil && dropStep(id, ae) {
-							continue
-						}
-						a.StepAnnotated(ae)
-					}
-					r.advance(id)
-				}
-			}
 			for {
 				chunk := r.next(id)
 				if chunk == nil {
 					return
 				}
-				a.StepChunk(chunk)
+				if hooks.BeforeChunk == nil || !hooks.BeforeChunk(id, chunk) {
+					a.StepChunk(chunk)
+				}
 				r.advance(id)
 			}
 		}(i, a)
@@ -556,12 +408,11 @@ func ReplayWith(ctx context.Context, o ReplayOptions, run RunFunc, analyzers ...
 	// The sink consumer: drains the same broadcast, detaches itself on
 	// its first error (or a panic) so a broken store can slow nothing
 	// down, and reports whether it survived to the end of the stream.
-	var sinkDone chan struct{}
 	sinkOK := false
 	if sinkID >= 0 {
-		sinkDone = make(chan struct{})
+		wg.Add(1)
 		go func() {
-			defer close(sinkDone)
+			defer wg.Done()
 			defer func() {
 				if p := recover(); p != nil {
 					r.detach(sinkID)
@@ -584,82 +435,14 @@ func ReplayWith(ctx context.Context, o ReplayOptions, run RunFunc, analyzers ...
 		}()
 	}
 
-	// The stall watchdog samples per-consumer chunk progress: a consumer
-	// with a chunk available that completes none of it within the
-	// deadline is detached like a panicked worker, so one wedged analyzer
-	// cannot stall the producer and the surviving consumers forever.
-	var stalls struct {
-		sync.Mutex
-		ids []int
-	}
-	if o.Watchdog > 0 {
-		for i := range killed {
-			killed[i] = make(chan struct{})
-		}
-		stopWd := make(chan struct{})
-		defer close(stopWd)
-		go func() {
-			tick := o.Watchdog / 4
-			if tick < time.Millisecond {
-				tick = time.Millisecond
-			}
-			ticker := time.NewTicker(tick)
-			defer ticker.Stop()
-			lastTail := make([]int64, len(analyzers))
-			lastMove := make([]time.Time, len(analyzers))
-			start := time.Now()
-			for i := range lastMove {
-				lastMove[i] = start
-			}
-			for {
-				select {
-				case <-stopWd:
-					return
-				case <-ticker.C:
-				}
-				var fired []int
-				r.mu.Lock()
-				now := time.Now()
-				for id := range r.tails {
-					if id == sinkID {
-						// The sink is not watched: a slow store write is
-						// I/O pressure, not a wedged analyzer, and killing
-						// it would only lose the populate.
-						continue
-					}
-					switch {
-					case r.cut[id]:
-						// Already detached (panic or earlier firing).
-					case r.tails[id] >= r.head:
-						// No chunk pending: idle at the ring, not stalled.
-						lastTail[id], lastMove[id] = r.tails[id], now
-					case r.tails[id] != lastTail[id]:
-						lastTail[id], lastMove[id] = r.tails[id], now
-					case now.Sub(lastMove[id]) >= o.Watchdog:
-						r.detachLocked(id, true)
-						fired = append(fired, id)
-					}
-				}
-				r.mu.Unlock()
-				for _, id := range fired {
-					stalls.Lock()
-					stalls.ids = append(stalls.ids, id)
-					stalls.Unlock()
-					close(killed[id])
-				}
-			}
-		}()
-	}
-
 	var err error
 	func() {
 		// close() runs even if the producer panics, so workers always
 		// terminate instead of waiting on the ring forever.
 		defer r.close()
 		var chunk int64
-		dropping := false
 		buf := r.reserve()
-		dropping = buf == nil
+		dropping := buf == nil
 		err = run(ctx, func(ev vm.Event) {
 			if dropping {
 				// The replay was aborted; a producer that does not watch
@@ -669,8 +452,8 @@ func ReplayWith(ctx context.Context, o ReplayOptions, run RunFunc, analyzers ...
 			}
 			buf.Append(an.Annotate(ev))
 			if buf.Len() == ChunkEvents {
-				if onPublish != nil {
-					onPublish(chunk, buf)
+				if hooks.OnPublish != nil {
+					hooks.OnPublish(chunk, buf)
 				}
 				r.publish(buf)
 				chunk++
@@ -685,42 +468,83 @@ func ReplayWith(ctx context.Context, o ReplayOptions, run RunFunc, analyzers ...
 			}
 		})
 		if err == nil && !dropping && buf.Len() > 0 {
-			if onPublish != nil {
-				onPublish(chunk, buf)
+			if hooks.OnPublish != nil {
+				hooks.OnPublish(chunk, buf)
 			}
 			r.publish(buf)
 		}
 	}()
-	// Wait for every worker — except those the watchdog gave up on, whose
-	// goroutines are abandoned (they exit at their next ring interaction;
-	// their slot buffers were handed off at detach, so the producer never
-	// races them).
-	for i := range analyzers {
-		select {
-		case <-done[i]:
-		case <-killed[i]: // nil (never ready) unless the watchdog is armed
-		}
-	}
-	if sinkDone != nil {
-		<-sinkDone
-	}
-	panicMu.Lock()
-	rethrow := workerPanic
-	panicMu.Unlock()
-	if rethrow != nil {
-		panic(rethrow)
+	wg.Wait()
+	if workerPanic != nil {
+		panic(workerPanic)
 	}
 	err = canceledErr(ctx, err)
-	stalls.Lock()
-	stalled := append([]int(nil), stalls.ids...)
-	stalls.Unlock()
-	if err == nil && len(stalled) > 0 {
-		sort.Ints(stalled)
-		return &StallError{Consumers: stalled, Deadline: o.Watchdog}
-	}
-	if err == nil && len(stalled) == 0 && sinkOK {
+	if err == nil && sinkOK {
 		// Clean end of stream: hand the sink its nil terminator so the
 		// store may commit the trace as complete.
+		_ = o.Sink(nil)
+	}
+	return err
+}
+
+// SerialReplayWith drives the trace source through every analyzer on
+// the caller's goroutine — the loop ReplayWith uses for a single
+// analyzer, kept as the single-goroutine baseline the fan-out is
+// measured against.  Each full chunk is stepped through every analyzer
+// and then handed to sink (nil for none), with the nil end-of-stream
+// terminator on clean completion (see ChunkSink).  Results are
+// identical to ReplayWith's.
+func SerialReplayWith(ctx context.Context, sink ChunkSink, run RunFunc, analyzers ...*Analyzer) error {
+	return serialReplay(ctx, ReplayOptions{Sink: sink}, run, analyzers)
+}
+
+// serialReplay is the single-goroutine replay: events are annotated once
+// into a columnar chunk and each full chunk runs through every
+// analyzer's specialized stepper (StepChunk), then o.Sink.  The trailing
+// partial chunk is flushed when the producer returns, successful or
+// not.  Hooks fire per chunk exactly as on the fan-out, and a panic
+// propagates unchanged on the caller's goroutine.  With no analyzers
+// the producer runs without annotation and the sink is not called.
+func serialReplay(ctx context.Context, o ReplayOptions, run RunFunc, analyzers []*Analyzer) error {
+	if len(analyzers) == 0 {
+		return canceledErr(ctx, run(ctx, func(vm.Event) {}))
+	}
+	var hooks ReplayHooks
+	if o.Hooks != nil {
+		hooks = *o.Hooks
+	}
+	an := NewAnnotator(analyzers...)
+	defer an.flush(o.Metrics)
+	c := getChunk()
+	defer putChunk(c)
+	var chunk int64
+	sinkOK := o.Sink != nil
+	emit := func() {
+		if hooks.OnPublish != nil {
+			hooks.OnPublish(chunk, c)
+		}
+		chunk++
+		for id, a := range analyzers {
+			if hooks.BeforeChunk == nil || !hooks.BeforeChunk(id, c) {
+				a.StepChunk(c)
+			}
+		}
+		if sinkOK && o.Sink(c) != nil {
+			sinkOK = false
+		}
+	}
+	err := run(ctx, func(ev vm.Event) {
+		c.Append(an.Annotate(ev))
+		if c.Len() == ChunkEvents {
+			emit()
+			c.Reset()
+		}
+	})
+	if c.Len() > 0 {
+		emit()
+	}
+	err = canceledErr(ctx, err)
+	if err == nil && sinkOK {
 		_ = o.Sink(nil)
 	}
 	return err
@@ -734,22 +558,4 @@ func canceledErr(ctx context.Context, err error) error {
 		return fmt.Errorf("%w: %v", vm.ErrCanceled, ctx.Err())
 	}
 	return err
-}
-
-// Run replays the trace source through every analyzer of the group
-// concurrently.  It is the parallel counterpart of driving Visitor() from
-// the source directly, producing identical Results.
-func (g *Group) Run(run func(visit func(vm.Event)) error) error {
-	return Replay(run, g.Analyzers...)
-}
-
-// RunContext is Run under a context; see ReplayContext.
-func (g *Group) RunContext(ctx context.Context, run RunFunc) error {
-	return ReplayContext(ctx, run, g.Analyzers...)
-}
-
-// RunObserved is RunContext with ring telemetry recorded into m; see
-// ReplayObserved.
-func (g *Group) RunObserved(ctx context.Context, m *telemetry.Registry, run RunFunc) error {
-	return ReplayObserved(ctx, m, run, g.Analyzers...)
 }

@@ -64,8 +64,9 @@ func trackedAnalyzers(st *Static, memWords int, unroll bool) []*Analyzer {
 
 // TestReplayMatchesSerial is the equivalence guarantee of the parallel
 // backend: fanning the trace out to per-analyzer goroutines through the
-// broadcast ring must produce bit-identical Results to stepping every
-// analyzer serially, for every model, with and without unrolling.
+// broadcast ring (ReplayWith) must produce bit-identical Results to the
+// single-goroutine loop (SerialReplayWith), for every model, with and
+// without unrolling.
 func TestReplayMatchesSerial(t *testing.T) {
 	benches := []string{"irsim", "ccom"}
 	if testing.Short() {
@@ -74,21 +75,14 @@ func TestReplayMatchesSerial(t *testing.T) {
 	for _, name := range benches {
 		t.Run(name, func(t *testing.T) {
 			st, events, memWords := buildBenchTrace(t, name)
-			replay := func(visit func(vm.Event)) error {
-				for _, ev := range events {
-					visit(ev)
-				}
-				return nil
-			}
+			replay := replayFromEvents(events)
 			for _, unroll := range []bool{false, true} {
 				serial := trackedAnalyzers(st, memWords, unroll)
 				parallel := trackedAnalyzers(st, memWords, unroll)
-				for _, ev := range events {
-					for _, a := range serial {
-						a.Step(ev)
-					}
+				if err := SerialReplayWith(context.Background(), nil, replay, serial...); err != nil {
+					t.Fatal(err)
 				}
-				if err := Replay(replay, parallel...); err != nil {
+				if err := ReplayWith(context.Background(), ReplayOptions{}, replay, parallel...); err != nil {
 					t.Fatal(err)
 				}
 				for i := range serial {
@@ -123,8 +117,8 @@ func TestReplayPropagatesRunError(t *testing.T) {
 	machine.Reset()
 	// Stream several chunks' worth of real events (exercising slot reuse)
 	// before failing.
-	err = Replay(func(visit func(vm.Event)) error {
-		if err := machine.Run(visit); err != nil {
+	err = ReplayContext(context.Background(), func(ctx context.Context, visit func(vm.Event)) error {
+		if err := machine.RunContext(ctx, visit); err != nil {
 			return err
 		}
 		return wantErr
@@ -138,7 +132,7 @@ func TestReplayPropagatesRunError(t *testing.T) {
 // shortcuts.
 func TestReplayDegenerate(t *testing.T) {
 	ran := false
-	if err := Replay(func(visit func(vm.Event)) error {
+	if err := ReplayContext(context.Background(), func(_ context.Context, visit func(vm.Event)) error {
 		ran = true
 		visit(vm.Event{})
 		return nil
@@ -169,11 +163,11 @@ func TestReplayDegenerate(t *testing.T) {
 	}
 	lone := NewAnalyzer(st, SPCDMF, true, len(machine.Mem))
 	machine.Reset()
-	if err := Replay(machine.Run, lone); err != nil {
+	if err := ReplayContext(context.Background(), machine.RunContext, lone); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(serial.Result(), lone.Result()) {
-		t.Errorf("single-analyzer Replay differs from serial stepping")
+		t.Errorf("single-analyzer ReplayContext differs from raw stepping")
 	}
 }
 

@@ -1,8 +1,6 @@
 package limits
 
 import (
-	"context"
-
 	"ilplimit/internal/predict"
 	"ilplimit/internal/telemetry"
 	"ilplimit/internal/vm"
@@ -210,7 +208,7 @@ func NewAnnotator(analyzers ...*Analyzer) *Annotator {
 }
 
 // Annotate stamps one event.  Called once per dynamic instruction, on
-// the producer side of a replay (or inline from SerialVisitor).
+// the producer side of a replay.
 func (an *Annotator) Annotate(ev vm.Event) AnnotatedEvent {
 	flags := an.st.meta[ev.Idx].flags
 	if ev.Taken {
@@ -243,32 +241,6 @@ func (an *Annotator) flush(m *telemetry.Registry) {
 	m.Counter("decode.branches").Add(an.branches)
 	m.Counter("decode.mispredict_flags").Add(an.mispredicts)
 	m.Gauge("decode.lanes").SetMax(int64(len(an.streams)))
-}
-
-// SerialVisitor returns a VM visitor that annotates each event once and
-// steps every analyzer's annotated fast path — the incremental
-// single-goroutine counterpart of the replay ring's producer-side
-// pre-decode, so visitor-shaped callers compute identical results with
-// the same shared-decode structure.  Because a visitor has no
-// end-of-stream signal it cannot batch columnar chunks; callers that
-// drive a whole RunFunc should prefer SerialReplay, which streams the
-// generated specialized steppers.  With no analyzers the visitor is a
-// no-op.
-func SerialVisitor(analyzers ...*Analyzer) func(vm.Event) {
-	if len(analyzers) == 0 {
-		return func(vm.Event) {}
-	}
-	an := NewAnnotator(analyzers...)
-	if len(analyzers) == 1 {
-		a := analyzers[0]
-		return func(ev vm.Event) { a.StepAnnotated(an.Annotate(ev)) }
-	}
-	return func(ev vm.Event) {
-		ae := an.Annotate(ev)
-		for _, a := range analyzers {
-			a.StepAnnotated(ae)
-		}
-	}
 }
 
 // AssignReplayLanes re-applies the predictor-lane assignment that
@@ -318,53 +290,3 @@ func AssignReplayLanes(analyzers ...*Analyzer) int {
 // sink — and the nil terminator is then withheld.  Chunks are only
 // valid for the duration of the call.
 type ChunkSink func(*Chunk) error
-
-// SerialReplay drives the trace source through every analyzer on the
-// caller's goroutine — the single-goroutine counterpart of ReplayContext
-// and the `-serial` escape hatch of the harness.  Events are annotated
-// once into a columnar chunk and each full chunk is stepped through
-// every analyzer's specialized stepper (StepChunk), so the serial path
-// shares both the decode work and the generated hot loops with the
-// parallel fan-out; the trailing partial chunk is flushed when the
-// producer returns, successful or not, matching the event-at-a-time
-// semantics of SerialVisitor bit for bit.
-func SerialReplay(ctx context.Context, run RunFunc, analyzers ...*Analyzer) error {
-	return SerialReplayWith(ctx, nil, run, analyzers...)
-}
-
-// SerialReplayWith is SerialReplay with an optional chunk sink: each
-// full chunk is stepped through every analyzer and then handed to sink,
-// with the nil end-of-stream terminator on clean completion (see
-// ChunkSink).  A nil sink is exactly SerialReplay.  With no analyzers
-// the producer runs without annotation and the sink is not called.
-func SerialReplayWith(ctx context.Context, sink ChunkSink, run RunFunc, analyzers ...*Analyzer) error {
-	if len(analyzers) == 0 {
-		return run(ctx, func(vm.Event) {})
-	}
-	an := NewAnnotator(analyzers...)
-	c := getChunk()
-	defer putChunk(c)
-	sinkOK := sink != nil
-	emit := func() {
-		for _, a := range analyzers {
-			a.StepChunk(c)
-		}
-		if sinkOK && sink(c) != nil {
-			sinkOK = false
-		}
-	}
-	err := run(ctx, func(ev vm.Event) {
-		c.Append(an.Annotate(ev))
-		if c.Len() == ChunkEvents {
-			emit()
-			c.Reset()
-		}
-	})
-	if c.Len() > 0 {
-		emit()
-	}
-	if err == nil && sinkOK {
-		_ = sink(nil)
-	}
-	return err
-}

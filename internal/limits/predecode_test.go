@@ -65,48 +65,29 @@ func seededTrace(t *testing.T, seed int64) (*Static, []vm.Event, int) {
 }
 
 // TestAnnotatedMatchesStep checks, over several seeded traces, that the
-// shared-annotation serial paths (SerialVisitor and the chunked
-// SerialReplay) and the annotated parallel fan-out all reproduce the
-// self-annotating Step path's Results bit-for-bit for all 7 models × 2
-// unroll configs.
+// shared-annotation serial loop (SerialReplayWith) and the annotated
+// parallel fan-out both reproduce the self-annotating Step path's
+// Results bit-for-bit for all 7 models × 2 unroll configs.
 func TestAnnotatedMatchesStep(t *testing.T) {
 	for _, seed := range []int64{1, 20260805, 424242} {
 		st, events, memWords := seededTrace(t, seed)
-		replay := func(visit func(vm.Event)) error {
-			for _, ev := range events {
-				visit(ev)
-			}
-			return nil
-		}
+		replay := replayFromEvents(events)
 		for _, unroll := range []bool{false, true} {
 			ref := trackedAnalyzers(st, memWords, unroll)
 			stepAll(events, ref)
 			want := resultsOf(ref)
 
-			serial := trackedAnalyzers(st, memWords, unroll)
-			visit := SerialVisitor(serial...)
-			for _, ev := range events {
-				visit(ev)
-			}
-			if got := resultsOf(serial); !reflect.DeepEqual(got, want) {
-				t.Errorf("seed %d unroll=%v: SerialVisitor results differ\ngot:  %+v\nwant: %+v",
-					seed, unroll, got, want)
-			}
-
 			chunked := trackedAnalyzers(st, memWords, unroll)
-			err := SerialReplay(context.Background(), func(_ context.Context, visit func(vm.Event)) error {
-				return replay(visit)
-			}, chunked...)
-			if err != nil {
+			if err := SerialReplayWith(context.Background(), nil, replay, chunked...); err != nil {
 				t.Fatal(err)
 			}
 			if got := resultsOf(chunked); !reflect.DeepEqual(got, want) {
-				t.Errorf("seed %d unroll=%v: SerialReplay results differ\ngot:  %+v\nwant: %+v",
+				t.Errorf("seed %d unroll=%v: SerialReplayWith results differ\ngot:  %+v\nwant: %+v",
 					seed, unroll, got, want)
 			}
 
 			par := trackedAnalyzers(st, memWords, unroll)
-			if err := Replay(replay, par...); err != nil {
+			if err := ReplayContext(context.Background(), replay, par...); err != nil {
 				t.Fatal(err)
 			}
 			if got := resultsOf(par); !reflect.DeepEqual(got, want) {
@@ -168,13 +149,7 @@ func TestAnnotatedMultiPredictorLanes(t *testing.T) {
 	want := resultsOf(ref)
 
 	par := build()
-	err = Replay(func(visit func(vm.Event)) error {
-		for _, ev := range events {
-			visit(ev)
-		}
-		return nil
-	}, par...)
-	if err != nil {
+	if err := ReplayContext(context.Background(), replayFromEvents(events), par...); err != nil {
 		t.Fatal(err)
 	}
 	if got := resultsOf(par); !reflect.DeepEqual(got, want) {
@@ -213,13 +188,7 @@ func TestDecodeTelemetry(t *testing.T) {
 	}
 	reg := telemetry.NewRegistry()
 	as := trackedAnalyzers(st, memWords, false)
-	err := ReplayObserved(context.Background(), reg, func(_ context.Context, visit func(vm.Event)) error {
-		for _, ev := range events {
-			visit(ev)
-		}
-		return nil
-	}, as...)
-	if err != nil {
+	if err := ReplayWith(context.Background(), ReplayOptions{Metrics: reg}, replayFromEvents(events), as...); err != nil {
 		t.Fatal(err)
 	}
 	s := reg.Snapshot()

@@ -119,19 +119,14 @@ func TestGeneratedMatchesGeneric(t *testing.T) {
 }
 
 // TestGeneratedParallelAndSerial drives every configuration through
-// both production transports — SerialReplay (chunked, caller's
-// goroutine) and the ring fan-out (Replay) — and checks both against
+// both transports — SerialReplayWith (chunked, caller's goroutine) and
+// the ring fan-out (ReplayContext) — and checks both against
 // the raw Step reference.  Run under -race (make race) this also pins
 // the specialized steppers race-clean across the ring's worker
 // goroutines.
 func TestGeneratedParallelAndSerial(t *testing.T) {
 	st, events, memWords := seededTrace(t, 424242)
-	run := func(_ context.Context, visit func(vm.Event)) error {
-		for _, ev := range events {
-			visit(ev)
-		}
-		return nil
-	}
+	run := replayFromEvents(events)
 	build := func() []*Analyzer {
 		var as []*Analyzer
 		for _, cfg := range stepConfigs(memWords) {
@@ -149,11 +144,11 @@ func TestGeneratedParallelAndSerial(t *testing.T) {
 	want := resultsOf(ref)
 
 	serial := build()
-	if err := SerialReplay(context.Background(), run, serial...); err != nil {
+	if err := SerialReplayWith(context.Background(), nil, run, serial...); err != nil {
 		t.Fatal(err)
 	}
 	if got := resultsOf(serial); !reflect.DeepEqual(got, want) {
-		t.Errorf("SerialReplay results diverge from raw Step reference")
+		t.Errorf("SerialReplayWith results diverge from raw Step reference")
 	}
 
 	par := build()

@@ -21,17 +21,17 @@ func replayFromEvents(events []vm.Event) RunFunc {
 	}
 }
 
-// TestReplayObservedRingAccounting pins the ring metric catalogue to
+// TestReplayRingAccounting pins the ring metric catalogue to
 // ground truth: every trace event is counted exactly once, the chunk
 // count matches the ChunkEvents batching, the occupancy high-water mark
 // stays within the ring, and the latency histogram saw (at most) every
 // chunk.  Stall counters are scheduling-dependent, so only their
 // presence is checked, not their values.
-func TestReplayObservedRingAccounting(t *testing.T) {
+func TestReplayRingAccounting(t *testing.T) {
 	st, events, memWords := buildBenchTrace(t, "irsim")
 	m := telemetry.NewRegistry()
 	analyzers := trackedAnalyzers(st, memWords, false)
-	if err := ReplayObserved(context.Background(), m, replayFromEvents(events), analyzers...); err != nil {
+	if err := ReplayWith(context.Background(), ReplayOptions{Metrics: m}, replayFromEvents(events), analyzers...); err != nil {
 		t.Fatal(err)
 	}
 	s := m.Snapshot()
@@ -67,10 +67,10 @@ func TestReplayObservedRingAccounting(t *testing.T) {
 	}
 }
 
-// TestReplayObservedMatchesUnobserved proves instrumentation is pure
+// TestReplayMetricsMatchUnobserved proves instrumentation is pure
 // observation: analyzer results are bit-identical with a live registry,
 // with a nil registry, and on the serial path.
-func TestReplayObservedMatchesUnobserved(t *testing.T) {
+func TestReplayMetricsMatchUnobserved(t *testing.T) {
 	st, events, memWords := buildBenchTrace(t, "irsim")
 	serial := trackedAnalyzers(st, memWords, true)
 	for _, ev := range events {
@@ -79,11 +79,11 @@ func TestReplayObservedMatchesUnobserved(t *testing.T) {
 		}
 	}
 	observed := trackedAnalyzers(st, memWords, true)
-	if err := ReplayObserved(context.Background(), telemetry.NewRegistry(), replayFromEvents(events), observed...); err != nil {
+	if err := ReplayWith(context.Background(), ReplayOptions{Metrics: telemetry.NewRegistry()}, replayFromEvents(events), observed...); err != nil {
 		t.Fatal(err)
 	}
 	nilReg := trackedAnalyzers(st, memWords, true)
-	if err := ReplayObserved(context.Background(), nil, replayFromEvents(events), nilReg...); err != nil {
+	if err := ReplayWith(context.Background(), ReplayOptions{}, replayFromEvents(events), nilReg...); err != nil {
 		t.Fatal(err)
 	}
 	for i := range serial {

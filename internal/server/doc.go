@@ -10,7 +10,7 @@
 //   - per-tenant concurrency quotas with round-robin fair scheduling,
 //     so one tenant's flood cannot starve another's trickle;
 //   - per-job deadlines wired into the existing context plumbing, and
-//     analyzer panics and ring stalls isolated per job;
+//     analyzer panics isolated per job;
 //   - a content-addressed result cache (trace CRC32 footer + config
 //     fingerprint) with single-flight dedup of identical submissions;
 //   - journal-backed durable results that survive SIGKILL and resume

@@ -55,9 +55,6 @@ type Config struct {
 	MemWords int
 	// StepLimit bounds each job's VM execution (default 1<<32).
 	StepLimit int64
-	// Watchdog arms the replay ring stall watchdog per job (default 30s;
-	// negative disables).
-	Watchdog time.Duration
 	// TraceStore, when non-empty, is a persistent annotated trace store
 	// directory shared by all jobs: suite cells and source/assembly
 	// submissions replay warm entries zero-copy instead of re-running
@@ -109,12 +106,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.StepLimit <= 0 {
 		c.StepLimit = 1 << 32
-	}
-	switch {
-	case c.Watchdog == 0:
-		c.Watchdog = 30 * time.Second
-	case c.Watchdog < 0:
-		c.Watchdog = 0
 	}
 	return c
 }
@@ -601,7 +592,6 @@ func (s *Server) execute(ctx context.Context, j *job) (*harness.JobResult, int, 
 			DisableUnrolling: j.req.DisableUnrolling,
 			MemWords:         s.cfg.MemWords,
 			StepLimit:        s.cfg.StepLimit,
-			Watchdog:         s.cfg.Watchdog,
 			TraceStore:       s.cfg.TraceStore,
 			Metrics:          s.met.WithPrefix("job."),
 		})
@@ -625,7 +615,6 @@ func (s *Server) runSuiteJob(ctx context.Context, j *job) (*harness.JobResult, e
 		StepLimit:    s.cfg.StepLimit,
 		Metrics:      s.met.WithPrefix("job."),
 		Benchmarks:   j.benches,
-		Watchdog:     s.cfg.Watchdog,
 		TraceStore:   s.cfg.TraceStore,
 		Jobs:         1, // the service's parallelism is across jobs
 		Retries:      1,

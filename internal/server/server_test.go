@@ -101,7 +101,7 @@ func parMatrix(t *testing.T, doc responseDoc) map[string]map[string]float64 {
 // TestServerProgramJob submits a program job end to end and checks the
 // matrix shape, plus the 422 path for unanalyzable content.
 func TestServerProgramJob(t *testing.T) {
-	_, ts := newTestServer(t, Config{Watchdog: -1})
+	_, ts := newTestServer(t, Config{})
 	status, doc, _, _ := postJob(t, ts.URL, map[string]interface{}{"program": testProgram(1)})
 	if status != http.StatusOK {
 		t.Fatalf("status = %d", status)
@@ -124,7 +124,7 @@ func TestServerProgramJob(t *testing.T) {
 // produces: 400 for undecodable bodies, 413 for oversized ones, 405
 // for the wrong method.
 func TestServerDecodeErrors(t *testing.T) {
-	_, ts := newTestServer(t, Config{MaxBodyBytes: 1024, Watchdog: -1})
+	_, ts := newTestServer(t, Config{MaxBodyBytes: 1024})
 
 	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader([]byte("{")))
 	if err != nil {
@@ -158,7 +158,7 @@ func TestServerDecodeErrors(t *testing.T) {
 // TestServerMultipartTraceJob submits a trace + asm pair as
 // multipart/form-data and expects the same matrix as the source job.
 func TestServerMultipartTraceJob(t *testing.T) {
-	_, ts := newTestServer(t, Config{Watchdog: -1})
+	_, ts := newTestServer(t, Config{})
 	src := testProgram(7)
 	status, fromSource, _, _ := postJob(t, ts.URL, map[string]interface{}{"program": src})
 	if status != http.StatusOK {
@@ -207,7 +207,7 @@ func TestServerMultipartTraceJob(t *testing.T) {
 func TestServerSingleFlight(t *testing.T) {
 	plan := &faultinject.ServerPlan{ExecDelay: 150 * time.Millisecond}
 	met := telemetry.NewRegistry()
-	_, ts := newTestServer(t, Config{Fault: plan, Metrics: met, Watchdog: -1})
+	_, ts := newTestServer(t, Config{Fault: plan, Metrics: met})
 
 	body := map[string]interface{}{"program": testProgram(2)}
 	var wg sync.WaitGroup
@@ -256,7 +256,7 @@ func TestServerShedding(t *testing.T) {
 	met := telemetry.NewRegistry()
 	_, ts := newTestServer(t, Config{
 		Workers: 1, QueueDepth: 1, TenantQueueDepth: 1, TenantQuota: 1,
-		Fault: plan, Metrics: met, Watchdog: -1,
+		Fault: plan, Metrics: met,
 	})
 
 	const n = 8
@@ -306,7 +306,7 @@ func TestServerTenantIsolation(t *testing.T) {
 	plan := &faultinject.ServerPlan{ExecDelay: 150 * time.Millisecond}
 	_, ts := newTestServer(t, Config{
 		Workers: 2, QueueDepth: 8, TenantQueueDepth: 2, TenantQuota: 1,
-		Fault: plan, Metrics: telemetry.NewRegistry(), Watchdog: -1,
+		Fault: plan, Metrics: telemetry.NewRegistry(),
 	})
 
 	// Tenant A floods: more than its share, less than the global queue.
@@ -344,7 +344,7 @@ func TestServerTenantIsolation(t *testing.T) {
 // service time and expects 408, not a hung request or a 5xx.
 func TestServerDeadline(t *testing.T) {
 	plan := &faultinject.ServerPlan{ExecDelay: 300 * time.Millisecond}
-	_, ts := newTestServer(t, Config{Fault: plan, Watchdog: -1})
+	_, ts := newTestServer(t, Config{Fault: plan})
 	status, _, bad, _ := postJob(t, ts.URL, map[string]interface{}{
 		"program": testProgram(3), "timeout_ms": 50})
 	if status != http.StatusRequestTimeout {
@@ -357,7 +357,7 @@ func TestServerDeadline(t *testing.T) {
 // survives to run the jobs around it.
 func TestServerPanicIsolation(t *testing.T) {
 	plan := &faultinject.ServerPlan{PanicEvery: 2}
-	_, ts := newTestServer(t, Config{Workers: 1, Fault: plan, Watchdog: -1})
+	_, ts := newTestServer(t, Config{Workers: 1, Fault: plan})
 
 	st1, _, _, _ := postJob(t, ts.URL, map[string]interface{}{"program": testProgram(400)})
 	st2, _, _, _ := postJob(t, ts.URL, map[string]interface{}{"program": testProgram(401)})
@@ -379,7 +379,7 @@ func TestServerPanicIsolation(t *testing.T) {
 func TestServerDurableReplay(t *testing.T) {
 	dir := t.TempDir()
 	plan := &faultinject.ServerPlan{}
-	s, err := New(Config{DataDir: dir, Fault: plan, Watchdog: -1})
+	s, err := New(Config{DataDir: dir, Fault: plan})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,7 +394,7 @@ func TestServerDurableReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2, err := New(Config{DataDir: dir, Fault: plan, Watchdog: -1})
+	s2, err := New(Config{DataDir: dir, Fault: plan})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -423,7 +423,7 @@ func TestServerDurableReplay(t *testing.T) {
 func TestServerSuiteJob(t *testing.T) {
 	dir := t.TempDir()
 	s, ts := func() (*Server, *httptest.Server) {
-		s, err := New(Config{DataDir: dir, Watchdog: -1})
+		s, err := New(Config{DataDir: dir})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -463,7 +463,7 @@ func TestServerSuiteJob(t *testing.T) {
 // work, and Drained returns with the queues empty.
 func TestServerDrain(t *testing.T) {
 	plan := &faultinject.ServerPlan{ExecDelay: 150 * time.Millisecond}
-	s, ts := newTestServer(t, Config{Fault: plan, Watchdog: -1})
+	s, ts := newTestServer(t, Config{Fault: plan})
 
 	done := make(chan int, 1)
 	go func() {

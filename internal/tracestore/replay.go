@@ -97,27 +97,25 @@ func (r *Replay) Close() error {
 // re-applies the predictor lane assignment (limits.AssignReplayLanes;
 // the caller's Key.Lanes must have come from the same analyzer set),
 // then wraps each on-disk frame as a limits.ChunkView and steps it.
-// With serial set (or a single analyzer) everything runs frame-major on
-// the caller's goroutine; otherwise each analyzer walks the frames on
+// A single analyzer runs frame-major on the caller's goroutine; with
+// more, each analyzer walks the frames on
 // its own goroutine behind an independent cursor — no ring, no flow
 // control, no backpressure, since the producer's pacing problem no
 // longer exists.  Analyzer panics are rethrown as *limits.PanicError
 // after every worker stops, and cancellation returns an error wrapping
 // vm.ErrCanceled, both exactly like the live replay.
-func (r *Replay) Run(ctx context.Context, serial bool, analyzers ...*limits.Analyzer) error {
+func (r *Replay) Run(ctx context.Context, analyzers ...*limits.Analyzer) error {
 	limits.AssignReplayLanes(analyzers...)
 	views := make([]*limits.Chunk, r.cf.NumFrames())
 	for i := range views {
 		views[i] = limits.ChunkView(r.cf.Frame(i))
 	}
-	if serial || len(analyzers) == 1 {
+	if len(analyzers) == 1 {
 		for i, c := range views {
 			if i&0x0F == 0 && ctx.Err() != nil {
 				return canceled(ctx)
 			}
-			for _, a := range analyzers {
-				a.StepChunk(c)
-			}
+			analyzers[0].StepChunk(c)
 		}
 		if ctx.Err() != nil {
 			return canceled(ctx)

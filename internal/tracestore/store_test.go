@@ -95,8 +95,8 @@ func testKey(prog *isa.Program, st *limits.Static, lanes int) tracestore.Key {
 
 // TestCachedVsLiveEquivalence is the store's core guarantee: every
 // model × unroll × latency cell computes byte-identical results whether
-// it stepped the live annotated stream or a stored trace, serial or
-// parallel.
+// it stepped the live annotated stream or a stored trace, as a lone
+// inline analyzer or fanned out across goroutines.
 func TestCachedVsLiveEquivalence(t *testing.T) {
 	prog := buildProgram(t)
 	machine, st := profileProgram(t, prog)
@@ -124,24 +124,24 @@ func TestCachedVsLiveEquivalence(t *testing.T) {
 		t.Fatalf("stored %d events, VM retired %d", pop.Events(), machine.Steps)
 	}
 
-	for _, serial := range []bool{true, false} {
-		warm := makeCells(st, memWords)
+	for _, n := range []int{1, len(live)} {
+		warm := makeCells(st, memWords)[:n]
 		rep, err := store.Open(key)
 		if err != nil {
-			t.Fatalf("serial=%v: %v", serial, err)
+			t.Fatalf("%d cells: %v", n, err)
 		}
 		if rep.Events() != machine.Steps {
 			t.Fatalf("replay sees %d events, want %d", rep.Events(), machine.Steps)
 		}
-		if err := rep.Run(context.Background(), serial, warm...); err != nil {
-			t.Fatalf("serial=%v: %v", serial, err)
+		if err := rep.Run(context.Background(), warm...); err != nil {
+			t.Fatalf("%d cells: %v", n, err)
 		}
 		rep.Close()
-		for i := range live {
+		for i := range warm {
 			lr, wr := live[i].Result(), warm[i].Result()
 			if !reflect.DeepEqual(lr, wr) {
-				t.Errorf("serial=%v cell %d (%v): cached result differs\nlive: %+v\nwarm: %+v",
-					serial, i, lr.Model, lr, wr)
+				t.Errorf("%d cells, cell %d (%v): cached result differs\nlive: %+v\nwarm: %+v",
+					n, i, lr.Model, lr, wr)
 			}
 		}
 	}
@@ -351,10 +351,10 @@ func TestReplayCancellation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rep.Close()
-	for _, serial := range []bool{true, false} {
-		warm := makeCells(st, len(machine.Mem))
-		if err := rep.Run(ctx, serial, warm...); !errors.Is(err, vm.ErrCanceled) {
-			t.Errorf("serial=%v: canceled replay returned %v, want vm.ErrCanceled", serial, err)
+	for _, n := range []int{1, len(live)} {
+		warm := makeCells(st, len(machine.Mem))[:n]
+		if err := rep.Run(ctx, warm...); !errors.Is(err, vm.ErrCanceled) {
+			t.Errorf("%d cells: canceled replay returned %v, want vm.ErrCanceled", n, err)
 		}
 	}
 }
