@@ -64,12 +64,16 @@ race: faultcheck
 
 # Robustness gate: deterministic fault injection (trap, consumer panic,
 # chunk corruption, stalled consumer, cancellation) under the race
-# detector, plus a short fuzz budget split between the trace-file reader
-# and the daemon's request decoder — the two untrusted-input frontiers.
+# detector, plus a short fuzz budget split between the trace-file
+# reader, the analysis of an uploaded trace, and the daemon's request
+# decoder — the untrusted-input frontiers.  The uploaded-trace target
+# skips minimization: an analysis run's coverage varies slightly between
+# runs of one input, which would spend its whole budget minimizing.
 faultcheck:
 	$(GO) test -race ./internal/faultinject
 	$(GO) test -fuzz FuzzReader -fuzztime 10s -run FuzzReader ./internal/trace
 	$(GO) test -fuzz FuzzChunkFile -fuzztime 10s -run FuzzChunkFile ./internal/trace
+	$(GO) test -fuzz FuzzAnalyzeJobTrace -fuzztime 10s -fuzzminimizetime 0 -run FuzzAnalyzeJobTrace ./internal/harness
 	$(GO) test -fuzz FuzzDecodeBody -fuzztime 10s -run FuzzDecodeBody ./internal/server
 
 # Resilience gate: the crash-safe journal, retry, and resume paths under

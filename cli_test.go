@@ -336,3 +336,46 @@ func TestCLITimeout(t *testing.T) {
 		t.Errorf("output lacks the failure summary:\n%s", out)
 	}
 }
+
+// TestCLIStudyOptions checks that a study honours the suite options:
+// -bench restricts its rows, -opt analyzes optimized code, -metrics
+// reports its pipeline stages, and -trace-cache populates the store
+// with entries a later suite run replays warm, byte-identical to an
+// uncached run.
+func TestCLIStudyOptions(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs binaries")
+	}
+	bin := buildCmd(t, "ilplimit")
+	plain := runCmd(t, bin, "-study", "window", "-bench", "awk")
+	if !strings.Contains(plain, "awk") || strings.Contains(plain, "ccom") {
+		t.Errorf("-study window -bench awk printed other benchmarks:\n%s", plain)
+	}
+	if opt := runCmd(t, bin, "-study", "window", "-bench", "awk", "-opt"); opt == plain {
+		t.Errorf("-study window -opt printed the unoptimized table:\n%s", opt)
+	}
+	metrics := runCmd(t, bin, "-study", "window", "-bench", "awk", "-metrics")
+	if !strings.Contains(metrics, "Pipeline stage timings (ms)") || strings.Contains(metrics, "no pipeline metrics") {
+		t.Errorf("-study window -metrics reported no pipeline stages:\n%s", metrics)
+	}
+
+	dir := t.TempDir()
+	runCmd(t, bin, "-study", "width", "-bench", "awk", "-trace-cache", dir)
+	if files, _ := filepath.Glob(filepath.Join(dir, "*.ilpc")); len(files) != 1 {
+		t.Fatalf("-study width -trace-cache committed %v, want one entry", files)
+	}
+	ref := runCmd(t, bin, "-bench", "awk", "-json")
+	warmCmd := exec.Command(bin, "-bench", "awk", "-json", "-trace-cache", dir, "-v")
+	var log strings.Builder
+	warmCmd.Stderr = &log
+	warm, err := warmCmd.Output()
+	if err != nil {
+		t.Fatalf("warm suite run: %v\n%s", err, log.String())
+	}
+	if string(warm) != ref {
+		t.Errorf("suite output from the study-populated store differs from an uncached run")
+	}
+	if !strings.Contains(log.String(), "cached trace") || strings.Contains(log.String(), "running live") {
+		t.Errorf("suite run did not replay the study's entry warm:\n%s", log.String())
+	}
+}

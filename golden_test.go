@@ -51,10 +51,10 @@ func TestGoldenTables(t *testing.T) {
 	}
 }
 
-// TestGoldenStudies pins the scale-1 ablation studies byte for byte
-// against testdata/golden/study-NAME.txt, the output of
-// `go run ./cmd/ilplimit -study NAME`.  The scale study is left out: it
-// also runs scale 4.
+// TestGoldenStudies pins the seven ablation studies at their defaults
+// byte for byte against testdata/golden/study-NAME.txt, the output of
+// `go run ./cmd/ilplimit -study NAME`.  The scale study also runs
+// scales 2 and 4.
 func TestGoldenStudies(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the suite once per study pass")
@@ -70,6 +70,7 @@ func TestGoldenStudies(t *testing.T) {
 		{"guarded", func(o harness.Options) (renderer, error) { return harness.RunGuardedStudy(o) }},
 		{"quality", func(o harness.Options) (renderer, error) { return harness.RunQualityStudy(o) }},
 		{"width", func(o harness.Options) (renderer, error) { return harness.RunWidthStudy(o) }},
+		{"scale", func(o harness.Options) (renderer, error) { return harness.RunScaleStudy(o) }},
 	}
 	for _, st := range studies {
 		t.Run(st.name, func(t *testing.T) {

@@ -34,7 +34,7 @@ type CellRunner func(ctx context.Context, c Cell, opt Options) (*BenchResult, er
 // and retries are RunSuite's policy, so RunCell makes exactly one
 // attempt.
 func RunCell(c Cell, opt Options) (*BenchResult, error) {
-	return runBenchmarkIsolated(c.Bench, opt)
+	return RunBenchmark(c.Bench, opt)
 }
 
 // executeCell runs one cell attempt: through Options.CellRunner when one
@@ -42,7 +42,7 @@ func RunCell(c Cell, opt Options) (*BenchResult, error) {
 // error like a panicking benchmark.
 func executeCell(c Cell, opt Options) (res *BenchResult, err error) {
 	if opt.CellRunner == nil {
-		return runBenchmarkIsolated(c.Bench, opt)
+		return RunBenchmark(c.Bench, opt)
 	}
 	defer func() {
 		if p := recover(); p != nil {

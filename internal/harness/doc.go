@@ -10,7 +10,9 @@
 // surviving results render and the failures aggregate into a SuiteError.
 // The ablation studies beyond the paper's tables (prediction scheme,
 // window size, latency, guarded instructions, code quality, machine
-// width, workload scale) live in studies.go and reuse the same pipeline.
+// width, workload scale), the service's AnalyzeJob and Measure all run
+// through the same pipeline core in pipeline.go, which alone touches the
+// VM, the replay and the trace store.
 //
 // Setting Options.Metrics turns on pipeline telemetry
 // (internal/telemetry): per-benchmark stage timings, VM throughput for

@@ -3,13 +3,8 @@ package harness
 import (
 	"fmt"
 
-	"ilplimit/internal/asm"
-	"ilplimit/internal/bench"
 	"ilplimit/internal/limits"
-	"ilplimit/internal/minic"
-	"ilplimit/internal/predict"
 	"ilplimit/internal/stats"
-	"ilplimit/internal/vm"
 )
 
 // GuardedRow compares one benchmark compiled with and without guarded
@@ -39,38 +34,17 @@ func RunGuardedStudy(opt Options) (*GuardedStudy, error) {
 	opt = opt.withDefaults()
 	models := []limits.Model{limits.SP, limits.SPCD, limits.SPCDMF}
 	study := &GuardedStudy{Models: models}
-	for _, b := range bench.All() {
+	for _, b := range opt.Benchmarks {
 		row := GuardedRow{Name: b.Name}
 		for _, guarded := range []bool{false, true} {
-			asmText, err := minic.CompileOpts(b.Source(opt.Scale), minic.Options{IfConvert: guarded})
-			if err != nil {
-				return nil, fmt.Errorf("%s: %w", b.Name, err)
-			}
-			prog, err := asm.Assemble(asmText)
-			if err != nil {
-				return nil, fmt.Errorf("%s: %w", b.Name, err)
-			}
-			machine := vm.NewSized(prog, opt.MemWords)
-			machine.StepLimit = opt.StepLimit
-			prof := predict.NewProfile(prog)
-			if err := machine.RunContext(opt.ctx(), prof.Record); err != nil {
-				return nil, fmt.Errorf("%s: profile: %w", b.Name, err)
-			}
-			st, err := limits.NewStatic(prog, prof.Predictor())
+			// The if-converted variant compiles a different program, so
+			// its ProgramCRC keys a distinct store entry automatically.
+			out, err := benchPass(opt, b, guarded, paperLane(models, true))
 			if err != nil {
 				return nil, err
 			}
-			machine.Reset()
-			g := limits.NewGroup(st, len(machine.Mem), models, true)
-			// The if-converted variant compiles a different program, so
-			// its ProgramCRC keys a distinct cache entry automatically.
-			if err := runAnalyzers(opt, b.Name, "profile", prog, st, machine, g.Analyzers); err != nil {
-				return nil, fmt.Errorf("%s: analysis: %w", b.Name, err)
-			}
-			par := make(map[limits.Model]float64)
 			mean := 0.0
-			for _, r := range g.Results() {
-				par[r.Model] = r.Parallelism()
+			for _, r := range out.results[0] {
 				if r.Model == limits.SP && r.Segments != nil {
 					var segs, instrs int64
 					for d, agg := range r.Segments {
@@ -82,6 +56,7 @@ func RunGuardedStudy(opt Options) (*GuardedStudy, error) {
 					}
 				}
 			}
+			par := modelParallelism(out.results[0])
 			if guarded {
 				row.GuardedPar, row.GuardedMeanDistance = par, mean
 			} else {

@@ -8,22 +8,15 @@ import (
 	"io"
 	"math/rand"
 	"runtime"
-	"runtime/debug"
 	"strings"
 	"sync"
 	"time"
 
-	"ilplimit/internal/asm"
 	"ilplimit/internal/bench"
 	"ilplimit/internal/faultinject"
 	"ilplimit/internal/journal"
 	"ilplimit/internal/limits"
-	"ilplimit/internal/minic"
-	optimizer "ilplimit/internal/opt"
-	"ilplimit/internal/predict"
 	"ilplimit/internal/telemetry"
-	"ilplimit/internal/trace"
-	"ilplimit/internal/tracestore"
 	"ilplimit/internal/vm"
 )
 
@@ -120,19 +113,6 @@ type Options struct {
 	// JournalMeta.
 	TraceStore string
 }
-
-// benchStartHook, when non-nil, runs at the top of every RunBenchmark; a
-// non-nil error (or a panic) aborts that benchmark only.  It exists so
-// resilience tests can fault one benchmark of a suite deterministically,
-// and stays nil in production.
-var benchStartHook func(name string) error
-
-// analyzeHooks, when non-nil, installs fault-injection hooks into every
-// RunBenchmark analysis replay.  Resilience tests
-// use it to seed analyzer-level faults — stalls, starved consumers that
-// violate the model-ordering invariant — through internal/faultinject;
-// it stays nil in production.
-var analyzeHooks *limits.ReplayHooks
 
 // syncWriter serializes Progress writes from benchmarks running
 // concurrently under RunSuite, which would otherwise race on the shared
@@ -336,241 +316,47 @@ func (s *SuiteResult) NonNumeric() []BenchResult {
 	return out
 }
 
-// RunBenchmark executes the full pipeline for one benchmark.
+// RunBenchmark executes the full pipeline for one benchmark: every
+// model, with and without perfect unrolling, in a single replay of its
+// trace.
 func RunBenchmark(b bench.Benchmark, opt Options) (*BenchResult, error) {
 	opt = opt.withDefaults()
-	ctx := opt.ctx()
-	logf := func(format string, args ...interface{}) {
-		if opt.Progress != nil {
-			fmt.Fprintf(opt.Progress, format+"\n", args...)
-		}
-	}
-	if benchStartHook != nil {
-		if err := benchStartHook(b.Name); err != nil {
-			return nil, fmt.Errorf("%s: %w", b.Name, err)
-		}
-	}
-
-	// All of this benchmark's metrics live under one prefix, so a suite
-	// run's shared registry keeps concurrent benchmarks apart.  A nil
-	// scope (telemetry off) makes every timer and counter below a no-op.
-	scope := opt.Metrics.WithPrefix("bench." + b.Name + ".")
-	benchDone := stageTimer(scope, "wall")
-
-	logf("[%s] compiling (scale %d)", b.Name, opt.Scale)
-	compileDone := stageTimer(scope, "compile")
-	asmText, err := minic.Compile(b.Source(opt.Scale))
+	out, err := benchPass(opt, b, false, paperLane(opt.Models, true, false))
 	if err != nil {
-		return nil, fmt.Errorf("%s: %w", b.Name, err)
+		return nil, err
 	}
-	prog, err := asm.Assemble(asmText)
-	compileDone()
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", b.Name, err)
-	}
-	if opt.Optimize {
-		logf("[%s] optimizing", b.Name)
-		optDone := stageTimer(scope, "optimize")
-		or, err := optimizer.Optimize(prog)
-		optDone()
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", b.Name, err)
-		}
-		prog = or.Program
-	}
-
-	// An injected fault plan arms the VM trap on both passes and its
-	// replay faults on the analysis fan-out below.
-	var faultPlan *faultinject.Plan
-	if opt.Faults != nil {
-		faultPlan = opt.Faults(b.Name)
-	}
-
-	// Warm trace cache: a committed annotated trace for this exact
-	// (program, predictor config, lanes) fingerprint replays straight
-	// from disk — both VM passes skipped.  Any cache problem falls
-	// through to the live pipeline below; only cancellation aborts.
-	if opt.TraceStore != "" {
-		res, cerr := cachedBenchmark(ctx, b, opt, prog, scope, logf)
-		if cerr != nil {
-			return nil, fmt.Errorf("%s: %w", b.Name, cerr)
-		}
-		if res != nil {
-			benchDone()
-			if opt.Metrics != nil {
-				res.Telemetry = opt.Metrics.Snapshot().Filter("bench." + b.Name + ".")
-			}
-			return res, nil
-		}
-	}
-
-	machine := vm.NewSized(prog, opt.MemWords)
-	machine.StepLimit = opt.StepLimit
-	machine.Metrics = scope.WithPrefix("vm.profile.")
-	if faultPlan != nil {
-		machine.StepHook = faultPlan.StepHook()
-	}
-
-	// Profiling pass: branch statistics with the measurement inputs.
-	logf("[%s] profiling", b.Name)
-	profileDone := stageTimer(scope, "profile")
-	prof := predict.NewProfile(prog)
-	filter := trace.NewFilter(prog, nil)
-	var traceInstrs, condBranches int64
-	err = machine.RunContext(ctx, func(ev vm.Event) {
-		prof.Record(ev)
-		if !filter.Ignored(ev.Idx) {
-			traceInstrs++
-			if prog.Instrs[ev.Idx].Op.IsCondBranch() {
-				condBranches++
-			}
-		}
-	})
-	profileDone()
-	if err != nil {
-		return nil, fmt.Errorf("%s: profile run: %w", b.Name, err)
-	}
-
-	pred := prof.Predictor()
-	// The static stage: CFG/RDF construction plus the fused
-	// per-instruction metadata table every analyzer and the annotation
-	// pass consume (see limits/predecode.go).
-	staticDone := stageTimer(scope, "static")
-	st, err := limits.NewStatic(prog, pred)
-	staticDone()
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", b.Name, err)
-	}
-
-	// Analysis pass: every model, with and without perfect unrolling, in a
-	// single replay of the trace.
-	logf("[%s] analyzing %d models x 2 unroll configs over %d instructions",
-		b.Name, len(opt.Models), machine.Steps)
-	steps := machine.Steps
-	machine.Reset()
-	machine.Metrics = scope.WithPrefix("vm.analysis.")
-	analyzeDone := stageTimer(scope, "analyze")
-	unrolled := limits.NewGroup(st, len(machine.Mem), opt.Models, true)
-	plain := limits.NewGroup(st, len(machine.Mem), opt.Models, false)
-	// The replay pre-decodes each event exactly once for all analyzers
-	// of both unroll configs; consumer/analyzer order is the unrolled
-	// analyzers in model order, then the plain ones.
-	all := make([]*limits.Analyzer, 0, len(unrolled.Analyzers)+len(plain.Analyzers))
-	all = append(all, unrolled.Analyzers...)
-	all = append(all, plain.Analyzers...)
-	// Cold write-through: spill the annotated chunk stream into the
-	// trace store while the analyzers consume it.  Skipped under
-	// injected faults — a mutated chunk must never be committed as a
-	// clean trace.
-	var pop *tracestore.Populate
-	if opt.TraceStore != "" && faultPlan == nil && analyzeHooks == nil {
-		pop = beginBenchPopulate(b, opt, prog, st, all, storeMeta{
-			PredictionRate:    prof.Stats().Rate(),
-			TraceInstructions: traceInstrs,
-			DynamicCondBr:     condBranches,
-			Steps:             steps,
-		}, scope, logf)
-	}
-	var sink limits.ChunkSink
-	if pop != nil {
-		sink = pop.Sink()
-	}
-	// Replay the trace once, fanning annotated chunks out to all
-	// analyzers, each scheduling on its own goroutine.  Ring consumer
-	// ids follow the slice order above.
-	hooks := analyzeHooks
-	if faultPlan != nil {
-		if h := faultPlan.Hooks(); h != nil {
-			hooks = h
-		}
-	}
-	err = limits.ReplayWith(ctx, limits.ReplayOptions{
-		Metrics: scope,
-		Hooks:   hooks,
-		Sink:    sink,
-	}, machine.RunContext, all...)
-	analyzeDone()
-	if err != nil {
-		if pop != nil {
-			pop.Abort()
-		}
-		return nil, fmt.Errorf("%s: analysis run: %w", b.Name, err)
-	}
-
 	res := &BenchResult{
 		Name:               b.Name,
 		Language:           b.Language,
 		Description:        b.Description,
 		Numeric:            b.Numeric,
-		DynamicCondBr:      condBranches,
-		TraceInstructions:  traceInstrs,
-		StaticInstructions: len(prog.Instrs),
+		PredictionRate:     out.stats.PredictionRate,
+		DynamicCondBr:      out.stats.DynamicCondBr,
+		TraceInstructions:  out.stats.TraceInstructions,
+		StaticInstructions: len(out.prog.Instrs),
 		Par:                make(map[limits.Model]float64),
 		ParNoUnroll:        make(map[limits.Model]float64),
 	}
-	ps := prof.Stats()
-	res.PredictionRate = ps.Rate()
-	if condBranches > 0 {
-		res.InstrsPerBranch = float64(traceInstrs) / float64(condBranches)
+	if res.DynamicCondBr > 0 {
+		res.InstrsPerBranch = float64(res.TraceInstructions) / float64(res.DynamicCondBr)
 	}
-	for _, r := range unrolled.Results() {
-		res.Par[r.Model] = r.Parallelism()
-		if r.Model == limits.SP {
-			res.Segments = r.Segments
-		}
-		recordAnalyzer(scope, r)
-	}
-	for _, r := range plain.Results() {
-		res.ParNoUnroll[r.Model] = r.Parallelism()
-		recordAnalyzer(scope, r)
-	}
-	// A weaker model outperforming a strictly stronger one means the
-	// analysis itself is broken (corrupted replay, starved analyzer);
-	// refuse to report the numbers.
-	viol := limits.CheckOrdering(res.Par, true)
-	viol = append(viol, limits.CheckOrdering(res.ParNoUnroll, false)...)
-	if len(viol) > 0 {
-		if pop != nil {
-			pop.Abort()
-		}
-		return nil, fmt.Errorf("%s: %w", b.Name, &limits.InvariantError{Violations: viol})
-	}
-	if pop != nil {
-		// Commit only after the invariant check passed: a trace that
-		// produced inconsistent schedules is not worth keeping.  Commit
-		// failures cost the cache entry, never the benchmark.
-		if cerr := pop.Commit(); cerr != nil {
-			scope.Counter("store.populate_errors").Inc()
-			logf("[%s] trace cache: populate failed: %v (continuing)", b.Name, cerr)
+	prefix := "bench." + b.Name + "."
+	scope := opt.Metrics.WithPrefix(prefix)
+	for _, r := range out.results[0] {
+		if r.Unrolled {
+			res.Par[r.Model] = r.Parallelism()
+			if r.Model == limits.SP {
+				res.Segments = r.Segments
+			}
 		} else {
-			scope.Counter("store.populates").Inc()
-			logf("[%s] trace cache: stored %d annotated events", b.Name, pop.Events())
+			res.ParNoUnroll[r.Model] = r.Parallelism()
 		}
+		recordAnalyzer(scope, r)
 	}
-	benchDone()
 	if opt.Metrics != nil {
-		res.Telemetry = opt.Metrics.Snapshot().Filter("bench." + b.Name + ".")
+		res.Telemetry = opt.Metrics.Snapshot().Filter(prefix)
 	}
 	return res, nil
-}
-
-// runBenchmarkIsolated converts a panicking benchmark into an error
-// carrying the faulting stack, so one crash cannot take down a whole
-// suite run.  This is the suite's panic-isolation boundary: everything a
-// benchmark does — compile, profile, fan-out analysis — happens below it.
-func runBenchmarkIsolated(b bench.Benchmark, opt Options) (res *BenchResult, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			if pe, ok := p.(*limits.PanicError); ok {
-				// An analyzer worker panicked; Replay preserved the stack
-				// of the faulting goroutine.
-				err = fmt.Errorf("%s: %w\n%s", b.Name, pe, pe.Stack)
-				return
-			}
-			err = fmt.Errorf("%s: panic: %v\n%s", b.Name, p, debug.Stack())
-		}
-	}()
-	return RunBenchmark(b, opt)
 }
 
 // retryable reports whether a benchmark failure is transient — worth

@@ -6,16 +6,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"runtime/debug"
+	"math"
 
-	"ilplimit/internal/asm"
+	"ilplimit/internal/isa"
 	"ilplimit/internal/limits"
-	"ilplimit/internal/minic"
-	optimizer "ilplimit/internal/opt"
-	"ilplimit/internal/predict"
 	"ilplimit/internal/telemetry"
 	"ilplimit/internal/trace"
-	"ilplimit/internal/tracestore"
 	"ilplimit/internal/vm"
 )
 
@@ -42,7 +38,8 @@ type JobSpec struct {
 	// DisableUnrolling turns off the paper's perfect-loop-unrolling
 	// transformation (on by default, matching Table 3's main config).
 	DisableUnrolling bool
-	// MemWords sizes the VM and dependence tables (default 1<<20).
+	// MemWords sizes the VM and dependence tables (default 1<<20),
+	// grown as the VM grows it to cover the program's data segment.
 	MemWords int
 	// StepLimit bounds VM execution (default 1<<32); ignored for trace
 	// jobs, whose length is fixed by the recording.
@@ -78,9 +75,10 @@ type JobResult struct {
 	Rows []MatrixRow `json:"rows"`
 }
 
-// ErrBadJob marks a job rejected before analysis started — no input
-// program, both input forms at once, or an undecodable trace.  The
-// daemon maps it (and compile/assemble failures) to a client error.
+// ErrBadJob marks a job rejected for its input — no program, both
+// program forms at once, a program that does not compile or assemble,
+// an undecodable trace, or a trace event the program could not have
+// produced.  The daemon maps it to a client error.
 var ErrBadJob = errors.New("harness: invalid job")
 
 // modelPar converts a per-model parallelism map to the string-keyed
@@ -109,139 +107,45 @@ func SuiteMatrix(s *SuiteResult) *JobResult {
 // returning its matrix row.  Analyzer panics are converted to errors
 // exactly like a suite benchmark's (the job is the isolation unit), and
 // the model-ordering invariant is enforced before results are reported.
-func AnalyzeJob(ctx context.Context, spec JobSpec) (res *JobResult, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			if pe, ok := p.(*limits.PanicError); ok {
-				err = fmt.Errorf("job: %w\n%s", pe, pe.Stack)
-				return
-			}
-			err = fmt.Errorf("job: panic: %v\n%s", p, debug.Stack())
-		}
-	}()
-	return analyzeJob(ctx, spec)
+func AnalyzeJob(ctx context.Context, spec JobSpec) (*JobResult, error) {
+	rs, err := Measure(ctx, spec)
+	if err != nil {
+		return nil, err
+	}
+	return &JobResult{Rows: []MatrixRow{{Name: "program", Par: modelPar(modelParallelism(rs))}}}, nil
 }
 
-func analyzeJob(ctx context.Context, spec JobSpec) (*JobResult, error) {
-	if spec.Models == nil {
-		spec.Models = limits.AllModels()
-	}
-	if spec.MemWords == 0 {
-		spec.MemWords = 1 << 20
-	}
-	if spec.StepLimit == 0 {
-		spec.StepLimit = 1 << 32
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-
-	var asmText string
+// Measure runs one job's pipeline and returns every requested model's
+// result in model order — AnalyzeJob's analysis, and the library's
+// Measure.  A warm trace-store hit serves it without a VM pass.
+func Measure(ctx context.Context, spec JobSpec) ([]limits.Result, error) {
 	switch {
 	case spec.Source != "" && spec.Asm != "":
 		return nil, fmt.Errorf("%w: both source and assembly supplied", ErrBadJob)
-	case spec.Source != "":
-		var err error
-		if asmText, err = minic.Compile(spec.Source); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadJob, err)
-		}
-	case spec.Asm != "":
-		asmText = spec.Asm
-	default:
+	case spec.Source == "" && spec.Asm == "":
 		return nil, fmt.Errorf("%w: no program supplied", ErrBadJob)
 	}
-	prog, err := asm.Assemble(asmText)
+	opt := Options{
+		Context: ctx, MemWords: spec.MemWords, Models: spec.Models, Optimize: spec.Optimize,
+		StepLimit: spec.StepLimit, Metrics: spec.Metrics, TraceStore: spec.TraceStore,
+	}.withDefaults()
+	out, err := runPass(opt, pass{
+		name: "job", source: spec.Source, asm: spec.Asm, trace: spec.Trace, untrusted: true,
+		lanes: []lane{paperLane(opt.Models, !spec.DisableUnrolling)},
+	})
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadJob, err)
+		return nil, err
 	}
-	if spec.Optimize {
-		or, err := optimizer.Optimize(prog)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadJob, err)
-		}
-		prog = or.Program
-	}
-
-	// A warm trace-store hit serves the whole job without a VM pass —
-	// a job result carries no profile statistics, only the parallelism
-	// matrix, so the stored annotated stream is everything it needs.
-	if spec.TraceStore != "" && spec.Trace == nil {
-		if res, err := cachedJob(ctx, spec, prog); err != nil || res != nil {
-			return res, err
-		}
-	}
-
-	// The profiling pass feeds the static predictor.  A trace job
-	// replays the recording; an execution job runs the VM.
-	prof := predict.NewProfile(prog)
-	var machine *vm.VM
-	if spec.Trace != nil {
-		if err := replayTrace(ctx, spec.Trace, prof.Record); err != nil {
-			return nil, fmt.Errorf("job: profile replay: %w", err)
-		}
-	} else {
-		machine = vm.NewSized(prog, spec.MemWords)
-		machine.StepLimit = spec.StepLimit
-		machine.Metrics = spec.Metrics.WithPrefix("vm.profile.")
-		if err := machine.RunContext(ctx, prof.Record); err != nil {
-			return nil, fmt.Errorf("job: profile run: %w", err)
-		}
-	}
-
-	st, err := limits.NewStatic(prog, prof.Predictor())
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadJob, err)
-	}
-
-	// Analysis pass: one replay fans annotated chunks out to all models.
-	group := limits.NewGroup(st, spec.MemWords, spec.Models, !spec.DisableUnrolling)
-	ropt := limits.ReplayOptions{Metrics: spec.Metrics}
-	var run limits.RunFunc
-	var pop *tracestore.Populate
-	if spec.Trace != nil {
-		data := spec.Trace
-		run = func(ctx context.Context, visit func(vm.Event)) error {
-			return replayTrace(ctx, data, visit)
-		}
-	} else {
-		machine.Reset()
-		machine.Metrics = spec.Metrics.WithPrefix("vm.analysis.")
-		run = machine.RunContext
-		if spec.TraceStore != "" {
-			pop = beginJobPopulate(spec, prog, st, group.Analyzers)
-			if pop != nil {
-				ropt.Sink = pop.Sink()
-			}
-		}
-	}
-	if err := limits.ReplayWith(ctx, ropt, run, group.Analyzers...); err != nil {
-		if pop != nil {
-			pop.Abort()
-		}
-		return nil, fmt.Errorf("job: analysis run: %w", err)
-	}
-
-	par := make(map[limits.Model]float64, len(spec.Models))
-	for _, r := range group.Results() {
-		par[r.Model] = r.Parallelism()
-	}
-	if viol := limits.CheckOrdering(par, !spec.DisableUnrolling); len(viol) > 0 {
-		if pop != nil {
-			pop.Abort()
-		}
-		return nil, fmt.Errorf("job: %w", &limits.InvariantError{Violations: viol})
-	}
-	if pop != nil {
-		// A failed commit costs the cache entry, never the job.
-		_ = pop.Commit()
-	}
-	return &JobResult{Rows: []MatrixRow{{Name: "program", Par: modelPar(par)}}}, nil
+	return out.results[0], nil
 }
 
 // replayTrace streams a recorded trace file through visit, polling the
 // context every 4096 events (the VM's cadence) so a deadline or cancel
 // aborts a long replay promptly with an error wrapping vm.ErrCanceled.
-func replayTrace(ctx context.Context, data []byte, visit func(vm.Event)) error {
+// An event the program could not have produced — an instruction index
+// outside it, an address beyond the 32-bit chunk lanes, or a load or
+// store outside its memWords of memory — is rejected as ErrBadJob.
+func replayTrace(ctx context.Context, data []byte, prog *isa.Program, memWords int, visit func(vm.Event)) error {
 	tr, err := trace.NewReader(bytes.NewReader(data))
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrBadJob, err)
@@ -261,6 +165,16 @@ func replayTrace(ctx context.Context, data []byte, visit func(vm.Event)) error {
 		}
 		if err != nil {
 			return fmt.Errorf("%w: %v", ErrBadJob, err)
+		}
+		if ev.Idx < 0 || int(ev.Idx) >= len(prog.Instrs) {
+			return fmt.Errorf("%w: event %d: instruction %d outside the %d-instruction program",
+				ErrBadJob, n, ev.Idx, len(prog.Instrs))
+		}
+		op := prog.Instrs[ev.Idx].Op
+		if ev.Addr < 0 || ev.Addr > math.MaxUint32 ||
+			(op.IsLoad() || op.IsStore()) && ev.Addr >= int64(memWords) {
+			return fmt.Errorf("%w: event %d: address %d outside the %d-word memory",
+				ErrBadJob, n, ev.Addr, memWords)
 		}
 		visit(ev)
 	}

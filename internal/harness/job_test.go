@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 
 	"ilplimit/internal/asm"
 	"ilplimit/internal/bench"
+	"ilplimit/internal/limits"
 	"ilplimit/internal/minic"
 	"ilplimit/internal/trace"
 	"ilplimit/internal/vm"
@@ -29,7 +31,7 @@ int main() {
 
 // recordTrace executes a mini-C program once and returns its trace file
 // bytes.
-func recordTrace(t *testing.T, source string) []byte {
+func recordTrace(t testing.TB, source string) []byte {
 	t.Helper()
 	asmText, err := minic.Compile(source)
 	if err != nil {
@@ -104,20 +106,124 @@ func TestAnalyzeJobSourceTraceEquivalence(t *testing.T) {
 	}
 }
 
+// writeTrace encodes events as a trace file.
+func writeTrace(t *testing.T, events ...vm.Event) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	w, err := trace.NewWriter(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ev := range events {
+		if err := w.Write(ev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 // TestAnalyzeJobRejectsBadInput covers the ErrBadJob surface: no
-// program, both program forms, compile errors, and a corrupt trace.
+// program, both program forms, compile errors, a corrupt trace, and
+// well-formed trace events the program could not have produced — an
+// instruction outside it, an address beyond the 32-bit chunk lanes, a
+// store outside its memory.
 func TestAnalyzeJobRejectsBadInput(t *testing.T) {
+	const memSource = `
+int a[8];
+int main() {
+	a[1] = 2;
+	print(a[1]);
+	return 0;
+}
+`
+	asmText, err := minic.Compile(memSource)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := asm.Assemble(asmText)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := -1
+	for i, in := range prog.Instrs {
+		if in.Op.IsStore() {
+			store = i
+			break
+		}
+	}
+	if store < 0 {
+		t.Fatal("program has no store")
+	}
 	cases := map[string]JobSpec{
 		"empty":      {},
 		"both":       {Source: jobSource, Asm: "nop"},
 		"bad-source": {Source: "int main( {"},
 		"bad-asm":    {Asm: "frobnicate r1, r2"},
 		"bad-trace":  {Source: jobSource, Trace: []byte("not a trace")},
+		"trace-idx":  {Source: jobSource, Trace: writeTrace(t, vm.Event{Idx: 1 << 20})},
+		"trace-addr": {Source: jobSource, Trace: writeTrace(t, vm.Event{Addr: 1 << 40})},
+		"trace-mem": {Source: memSource, MemWords: 4096,
+			Trace: writeTrace(t, vm.Event{Idx: int32(store), Addr: 1 << 20})},
 	}
 	for name, spec := range cases {
 		if _, err := AnalyzeJob(context.Background(), spec); !errors.Is(err, ErrBadJob) {
 			t.Errorf("%s: err = %v, want ErrBadJob", name, err)
 		}
+	}
+}
+
+// FuzzAnalyzeJobTrace feeds arbitrary trace bytes to a job over a fixed
+// program: whatever the upload holds, the job either succeeds or
+// rejects it as ErrBadJob — never a panic, never an internal error.
+// Each model runs as its own single-analyzer job, which replays on the
+// calling goroutine: a fan-out's scheduling would make coverage differ
+// between runs of one input, and the fuzzer would spend its budget
+// minimizing noise.
+func FuzzAnalyzeJobTrace(f *testing.F) {
+	asmText, err := minic.Compile(jobSource)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(recordTrace(f, jobSource))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, m := range limits.AllModels() {
+			_, err := AnalyzeJob(context.Background(), JobSpec{Asm: asmText, Trace: data, Models: []limits.Model{m}})
+			if err != nil && !errors.Is(err, ErrBadJob) {
+				t.Fatalf("%s trace job: %v", m, err)
+			}
+		}
+	})
+}
+
+// TestAnalyzeJobMemWordsGrowsForData pins the memory sizing: a program
+// whose data segment outgrows the requested MemWords runs in the
+// memory the VM grows to, so its analyzers must cover the same words —
+// the job succeeds and matches a run at the default size.
+func TestAnalyzeJobMemWordsGrowsForData(t *testing.T) {
+	const src = `
+int a[4096];
+int main() {
+	int i, s;
+	s = 0;
+	for (i = 0; i < 4096; i++) a[i] = i;
+	for (i = 4095; i >= 0; i--) s += a[i];
+	print(s);
+	return 0;
+}
+`
+	want, err := AnalyzeJob(context.Background(), JobSpec{Source: src})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := AnalyzeJob(context.Background(), JobSpec{Source: src, MemWords: 2048})
+	if err != nil {
+		t.Fatalf("MemWords 2048: %v", err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("MemWords 2048 = %+v, default = %+v", got, want)
 	}
 }
 

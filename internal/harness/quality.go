@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 
-	"ilplimit/internal/bench"
 	"ilplimit/internal/limits"
 	"ilplimit/internal/stats"
 )
@@ -34,24 +33,20 @@ func RunQualityStudy(opt Options) (*QualityStudy, error) {
 	opt = opt.withDefaults()
 	models := []limits.Model{limits.Base, limits.SP, limits.SPCDMF, limits.Oracle}
 	study := &QualityStudy{Models: models}
-	for _, b := range bench.All() {
+	for _, b := range opt.Benchmarks {
 		row := QualityRow{Name: b.Name}
 		for _, optimized := range []bool{false, true} {
 			o := opt
-			o.Models = models
 			o.Optimize = optimized
-			r, err := RunBenchmark(b, o)
+			out, err := benchPass(o, b, false, paperLane(models, true))
 			if err != nil {
 				return nil, err
 			}
-			par := make(map[limits.Model]float64, len(models))
-			for _, m := range models {
-				par[m] = r.Par[m]
-			}
+			par, instrs := modelParallelism(out.results[0]), out.stats.TraceInstructions
 			if optimized {
-				row.OptPar, row.OptInstrs = par, r.TraceInstructions
+				row.OptPar, row.OptInstrs = par, instrs
 			} else {
-				row.PlainPar, row.PlainInstrs = par, r.TraceInstructions
+				row.PlainPar, row.PlainInstrs = par, instrs
 			}
 		}
 		study.Rows = append(study.Rows, row)

@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 
-	"ilplimit/internal/bench"
 	"ilplimit/internal/limits"
 	"ilplimit/internal/stats"
 )
@@ -35,7 +34,7 @@ func RunScaleStudy(opt Options) (*ScaleStudy, error) {
 	opt = opt.withDefaults()
 	models := []limits.Model{limits.SPCDMF, limits.Oracle}
 	study := &ScaleStudy{Models: models}
-	for _, b := range bench.All() {
+	for _, b := range opt.Benchmarks {
 		row := ScaleRow{
 			Name:         b.Name,
 			Instructions: make(map[int]int64),
@@ -44,17 +43,12 @@ func RunScaleStudy(opt Options) (*ScaleStudy, error) {
 		for _, scale := range ScaleSweep {
 			o := opt
 			o.Scale = scale
-			o.Models = models
-			r, err := RunBenchmark(b, o)
+			out, err := benchPass(o, b, false, paperLane(models, true))
 			if err != nil {
 				return nil, err
 			}
-			row.Instructions[scale] = r.TraceInstructions
-			par := make(map[limits.Model]float64, len(models))
-			for _, m := range models {
-				par[m] = r.Par[m]
-			}
-			row.Par[scale] = par
+			row.Instructions[scale] = out.stats.TraceInstructions
+			row.Par[scale] = modelParallelism(out.results[0])
 		}
 		study.Rows = append(study.Rows, row)
 	}

@@ -3,14 +3,8 @@ package harness
 import (
 	"fmt"
 
-	"ilplimit/internal/asm"
-	"ilplimit/internal/bench"
-	"ilplimit/internal/isa"
 	"ilplimit/internal/limits"
-	"ilplimit/internal/minic"
-	"ilplimit/internal/predict"
 	"ilplimit/internal/stats"
-	"ilplimit/internal/vm"
 )
 
 // The studies in this file go beyond the paper's tables: they quantify the
@@ -18,47 +12,6 @@ import (
 // static prediction, §2.1; the unbounded scheduling window and unit
 // latencies make these limits larger than prior studies', §5) as ablations
 // over the same pipeline.
-
-// prepare compiles and profiles one benchmark, collecting both the static
-// profile and the dynamic-predictor training in a single pass.
-func prepare(b bench.Benchmark, opt Options) (*isa.Program, *vm.VM, *predict.Profile, *predict.DynamicProfile, error) {
-	asmText, err := minic.Compile(b.Source(opt.Scale))
-	if err != nil {
-		return nil, nil, nil, nil, fmt.Errorf("%s: %w", b.Name, err)
-	}
-	prog, err := asm.Assemble(asmText)
-	if err != nil {
-		return nil, nil, nil, nil, fmt.Errorf("%s: %w", b.Name, err)
-	}
-	machine := vm.NewSized(prog, opt.MemWords)
-	machine.StepLimit = opt.StepLimit
-	static := predict.NewProfile(prog)
-	dynamic := predict.NewDynamicProfile(prog)
-	err = machine.RunContext(opt.ctx(), func(ev vm.Event) {
-		static.Record(ev)
-		dynamic.Record(ev)
-	})
-	if err != nil {
-		return nil, nil, nil, nil, fmt.Errorf("%s: profile: %w", b.Name, err)
-	}
-	return prog, machine, static, dynamic, nil
-}
-
-// runAnalyzers replays the machine's trace through the analyzers under
-// the run's context (limits.ReplayContext).  With a trace
-// store configured, the replay is served from (or written through to)
-// the store instead: name, predictors, prog and st identify the trace
-// (see cachedStudyReplay); st must be a Static of prog shared by (or
-// annotation-identical to) the analyzers'.
-func runAnalyzers(opt Options, name, predictors string, prog *isa.Program, st *limits.Static,
-	machine *vm.VM, analyzers []*limits.Analyzer) error {
-	if opt.TraceStore != "" {
-		if handled, err := cachedStudyReplay(opt, name, predictors, prog, st, machine, analyzers); handled {
-			return err
-		}
-	}
-	return limits.ReplayContext(opt.ctx(), machine.RunContext, analyzers...)
-}
 
 // ---- Prediction study ----
 
@@ -83,51 +36,27 @@ type PredictionStudy struct {
 func RunPredictionStudy(opt Options) (*PredictionStudy, error) {
 	opt = opt.withDefaults()
 	models := []limits.Model{limits.SP, limits.SPCD, limits.SPCDMF}
+	predictors := []string{"profile", "dynamic", "btfn"}
 	study := &PredictionStudy{Models: models}
-	for _, b := range bench.All() {
-		prog, machine, static, dynamic, err := prepare(b, opt)
+	var lanes []lane
+	for _, name := range predictors {
+		l := paperLane(models, true)
+		l.predictor = name
+		lanes = append(lanes, l)
+	}
+	for _, b := range opt.Benchmarks {
+		out, err := benchPass(opt, b, false, lanes...)
 		if err != nil {
 			return nil, err
 		}
-		oracles := []struct {
-			name string
-			o    predict.Oracle
-		}{
-			{"profile", static.Predictor()},
-			{"dynamic", dynamic.Outcomes()},
-			{"btfn", predict.BTFN(prog)},
-		}
 		row := PredictionRow{
 			Name:        b.Name,
-			StaticRate:  static.Stats().Rate(),
-			DynamicRate: dynamic.Stats().Rate(),
+			StaticRate:  out.stats.PredictionRate,
+			DynamicRate: *out.stats.DynamicRate,
 			Par:         make(map[string]map[limits.Model]float64),
 		}
-		var groups []*limits.Group
-		var analyzers []*limits.Analyzer
-		var firstSt *limits.Static
-		for _, oc := range oracles {
-			st, err := limits.NewStatic(prog, oc.o)
-			if err != nil {
-				return nil, err
-			}
-			if firstSt == nil {
-				firstSt = st
-			}
-			g := limits.NewGroup(st, len(machine.Mem), models, true)
-			groups = append(groups, g)
-			analyzers = append(analyzers, g.Analyzers...)
-		}
-		machine.Reset()
-		if err := runAnalyzers(opt, b.Name, "profile,dynamic,btfn", prog, firstSt, machine, analyzers); err != nil {
-			return nil, fmt.Errorf("%s: analysis: %w", b.Name, err)
-		}
-		for i, oc := range oracles {
-			par := make(map[limits.Model]float64)
-			for _, r := range groups[i].Results() {
-				par[r.Model] = r.Parallelism()
-			}
-			row.Par[oc.name] = par
+		for i, name := range predictors {
+			row.Par[name] = modelParallelism(out.results[i])
 		}
 		study.Rows = append(study.Rows, row)
 	}
@@ -179,29 +108,18 @@ type WindowStudy struct {
 func RunWindowStudy(opt Options) (*WindowStudy, error) {
 	opt = opt.withDefaults()
 	study := &WindowStudy{}
-	for _, b := range bench.All() {
-		prog, machine, static, _, err := prepare(b, opt)
+	l := lane{predictor: "profile"}
+	for _, w := range WindowSizes {
+		l.configs = append(l.configs, limits.Config{Model: limits.SPCDMF, Unrolling: true, Window: w})
+	}
+	for _, b := range opt.Benchmarks {
+		out, err := benchPass(opt, b, false, l)
 		if err != nil {
 			return nil, err
-		}
-		st, err := limits.NewStatic(prog, static.Predictor())
-		if err != nil {
-			return nil, err
-		}
-		var analyzers []*limits.Analyzer
-		for _, w := range WindowSizes {
-			analyzers = append(analyzers, limits.NewAnalyzerConfig(st, limits.Config{
-				Model: limits.SPCDMF, Unrolling: true,
-				MemWords: len(machine.Mem), Window: w,
-			}))
-		}
-		machine.Reset()
-		if err := runAnalyzers(opt, b.Name, "profile", prog, st, machine, analyzers); err != nil {
-			return nil, fmt.Errorf("%s: %w", b.Name, err)
 		}
 		row := WindowRow{Name: b.Name, Par: make(map[int]float64)}
 		for i, w := range WindowSizes {
-			row.Par[w] = analyzers[i].Result().Parallelism()
+			row.Par[w] = out.results[0][i].Parallelism()
 		}
 		study.Rows = append(study.Rows, row)
 	}
@@ -256,28 +174,16 @@ func RunLatencyStudy(opt Options) (*LatencyStudy, error) {
 	opt = opt.withDefaults()
 	models := []limits.Model{limits.Base, limits.SP, limits.SPCDMF, limits.Oracle}
 	study := &LatencyStudy{Models: models}
-	for _, b := range bench.All() {
-		prog, machine, static, _, err := prepare(b, opt)
+	l := lane{predictor: "profile"}
+	for _, m := range models {
+		l.configs = append(l.configs,
+			limits.Config{Model: m, Unrolling: true},
+			limits.Config{Model: m, Unrolling: true, Latency: limits.DefaultLatencies})
+	}
+	for _, b := range opt.Benchmarks {
+		out, err := benchPass(opt, b, false, l)
 		if err != nil {
 			return nil, err
-		}
-		st, err := limits.NewStatic(prog, static.Predictor())
-		if err != nil {
-			return nil, err
-		}
-		var analyzers []*limits.Analyzer
-		for _, m := range models {
-			analyzers = append(analyzers, limits.NewAnalyzerConfig(st, limits.Config{
-				Model: m, Unrolling: true, MemWords: len(machine.Mem),
-			}))
-			analyzers = append(analyzers, limits.NewAnalyzerConfig(st, limits.Config{
-				Model: m, Unrolling: true, MemWords: len(machine.Mem),
-				Latency: limits.DefaultLatencies,
-			}))
-		}
-		machine.Reset()
-		if err := runAnalyzers(opt, b.Name, "profile", prog, st, machine, analyzers); err != nil {
-			return nil, fmt.Errorf("%s: %w", b.Name, err)
 		}
 		row := LatencyRow{
 			Name:    b.Name,
@@ -285,12 +191,21 @@ func RunLatencyStudy(opt Options) (*LatencyStudy, error) {
 			RealPar: make(map[limits.Model]float64),
 		}
 		for i, m := range models {
-			row.UnitPar[m] = analyzers[2*i].Result().Parallelism()
-			row.RealPar[m] = analyzers[2*i+1].Result().Parallelism()
+			row.UnitPar[m] = out.results[0][2*i].Parallelism()
+			row.RealPar[m] = out.results[0][2*i+1].Parallelism()
 		}
 		study.Rows = append(study.Rows, row)
 	}
 	return study, nil
+}
+
+// modelParallelism maps each result's model to its parallelism.
+func modelParallelism(rs []limits.Result) map[limits.Model]float64 {
+	par := make(map[limits.Model]float64, len(rs))
+	for _, r := range rs {
+		par[r.Model] = r.Parallelism()
+	}
+	return par
 }
 
 // Render formats the latency study.

@@ -274,3 +274,87 @@ int main() {
 		t.Errorf("job results differ: live %+v cold %+v warm %+v", live, cold, warm)
 	}
 }
+
+// TestTraceCacheStudyServesSuite: an entry a study populated carries
+// the same sidecar as a suite run's, so the next suite run replays it
+// warm — one hit, no fallback — with the live result.
+func TestTraceCacheStudyServesSuite(t *testing.T) {
+	b, err := bench.ByName("irsim")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if _, err := RunWindowStudy(Options{TraceStore: dir, Benchmarks: []bench.Benchmark{b}}); err != nil {
+		t.Fatal(err)
+	}
+	live, err := RunBenchmark(b, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := telemetry.NewRegistry()
+	warm, err := RunBenchmark(b, Options{TraceStore: dir, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := reg.Snapshot()
+	if hits, fb := snap.Counters["bench.irsim.store.hits"], snap.Counters["bench.irsim.store.fallbacks"]; hits != 1 || fb != 0 {
+		t.Errorf("suite run over a study-populated store: store.hits = %d, store.fallbacks = %d; want 1 and 0", hits, fb)
+	}
+	warm.Telemetry = nil
+	if !reflect.DeepEqual(live, warm) {
+		t.Errorf("warm result differs from live:\nlive: %+v\nwarm: %+v", live, warm)
+	}
+}
+
+// TestTraceCachePredictionStudyWarm: the prediction study's sidecar
+// carries the dynamic predictor's rate, so a warm rerun skips both VM
+// passes and still reports every column.
+func TestTraceCachePredictionStudyWarm(t *testing.T) {
+	b, err := bench.ByName("irsim")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	opt := Options{TraceStore: dir, Benchmarks: []bench.Benchmark{b}}
+	cold, err := RunPredictionStudy(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := telemetry.NewRegistry()
+	opt.Metrics = reg
+	warm, err := RunPredictionStudy(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := reg.Snapshot()
+	if hits := snap.Counters["bench.irsim.store.hits"]; hits != 1 {
+		t.Errorf("warm prediction study: store.hits = %d, want 1", hits)
+	}
+	if runs := snap.Counters["bench.irsim.vm.profile.runs"]; runs != 0 {
+		t.Errorf("warm prediction study ran the VM %d times", runs)
+	}
+	if !reflect.DeepEqual(cold.Rows, warm.Rows) {
+		t.Errorf("warm rows differ from cold:\ncold: %+v\nwarm: %+v", cold.Rows, warm.Rows)
+	}
+}
+
+// TestTraceCacheSidecarFields: a sidecar lacking a statistic the pass
+// reports is refused (the pass runs live) rather than read as zero.
+func TestTraceCacheSidecarFields(t *testing.T) {
+	full := `{"PredictionRate":90.5,"TraceInstructions":7,"DynamicCondBr":2,"Steps":9}`
+	if s, err := decodeStats([]byte(full), false); err != nil || s.Steps != 9 || s.DynamicRate != nil {
+		t.Errorf("suite sidecar: %+v, %v", s, err)
+	}
+	if _, err := decodeStats([]byte(full), true); err == nil {
+		t.Error("sidecar without DynamicRate served a pass that reports it")
+	}
+	withDyn := `{"PredictionRate":90.5,"DynamicRate":0,"TraceInstructions":7,"DynamicCondBr":2,"Steps":9}`
+	if s, err := decodeStats([]byte(withDyn), true); err != nil || s.DynamicRate == nil || *s.DynamicRate != 0 {
+		t.Errorf("prediction sidecar: %+v, %v", s, err)
+	}
+	for _, bad := range []string{"", "{}", `{"PredictionRate":1,"TraceInstructions":7,"Steps":9}`} {
+		if _, err := decodeStats([]byte(bad), false); err == nil {
+			t.Errorf("sidecar %q accepted", bad)
+		}
+	}
+}

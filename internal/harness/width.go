@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"sort"
 
-	"ilplimit/internal/bench"
 	"ilplimit/internal/limits"
 	"ilplimit/internal/stats"
-	"ilplimit/internal/vm"
 )
 
 // WidthRow reports the issue-width distribution of one benchmark under the
@@ -58,24 +56,15 @@ type WidthStudy struct {
 func RunWidthStudy(opt Options) (*WidthStudy, error) {
 	opt = opt.withDefaults()
 	study := &WidthStudy{}
-	for _, b := range bench.All() {
-		prog, machine, static, _, err := prepare(b, opt)
+	l := lane{predictor: "profile", configs: []limits.Config{
+		{Model: limits.SPCDMF, Unrolling: true, TrackWidths: true},
+	}}
+	for _, b := range opt.Benchmarks {
+		out, err := benchPass(opt, b, false, l)
 		if err != nil {
 			return nil, err
 		}
-		st, err := limits.NewStatic(prog, static.Predictor())
-		if err != nil {
-			return nil, err
-		}
-		a := limits.NewAnalyzerConfig(st, limits.Config{
-			Model: limits.SPCDMF, Unrolling: true,
-			MemWords: len(machine.Mem), TrackWidths: true,
-		})
-		machine.Reset()
-		if err := machine.RunContext(opt.ctx(), func(ev vm.Event) { a.Step(ev) }); err != nil {
-			return nil, fmt.Errorf("%s: %w", b.Name, err)
-		}
-		r := a.Result()
+		r := out.results[0][0]
 		study.Rows = append(study.Rows, WidthRow{
 			Name:         b.Name,
 			Widths:       r.Widths,

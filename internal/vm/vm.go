@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
+	"sync"
 	"time"
 
 	"ilplimit/internal/isa"
@@ -91,9 +93,46 @@ func NewSized(p *isa.Program, words int) *VM {
 	if min := int(isa.DataBase) + len(p.Data) + 1; words < min {
 		words = min
 	}
-	vm := &VM{prog: p, Mem: make([]int64, words)}
+	vm := &VM{prog: p, Mem: takeImage(words)}
 	vm.Reset()
 	return vm
+}
+
+// images holds memory images that Release handed back, at most one per
+// processor.  Reset zeroes every word of an image, so each one is fully
+// resident; leaving a spent image to the garbage collector made a
+// process's peak memory depend on whether a collection had freed the
+// last image before the next NewSized, while a reused image keeps the
+// peak at one image per running machine.  A sync.Pool would drop images
+// at collections, the very timing this avoids.
+var images struct {
+	sync.Mutex
+	free [][]int64
+}
+
+// takeImage returns the latest released image of exactly words words,
+// or a new one.
+func takeImage(words int) []int64 {
+	images.Lock()
+	defer images.Unlock()
+	for i := len(images.free) - 1; i >= 0; i-- {
+		if m := images.free[i]; len(m) == words {
+			images.free = append(images.free[:i], images.free[i+1:]...)
+			return m
+		}
+	}
+	return make([]int64, words)
+}
+
+// Release hands the machine's memory to a later NewSized of the same
+// size.  The machine must not be used again; Mem is nil afterwards.
+func (vm *VM) Release() {
+	images.Lock()
+	if vm.Mem != nil && len(images.free) < runtime.GOMAXPROCS(0) {
+		images.free = append(images.free, vm.Mem)
+	}
+	images.Unlock()
+	vm.Mem = nil
 }
 
 // Reset restores registers, memory and the program counter to their initial

@@ -3,6 +3,7 @@ package vm
 import (
 	"errors"
 	"strings"
+	"sync"
 	"testing"
 
 	"ilplimit/internal/asm"
@@ -107,6 +108,64 @@ xs: .word 11 22 33
 	if evs[1].Addr != isa.DataBase+1 || evs[2].Addr != isa.DataBase+2 {
 		t.Errorf("addrs = %d, %d", evs[1].Addr, evs[2].Addr)
 	}
+}
+
+// TestReleaseReusesMemory checks that NewSized takes back a released
+// image of its size, restored to the new program's initial state.
+func TestReleaseReusesMemory(t *testing.T) {
+	p := mustAssemble(t, `
+.data
+xs: .word 11 22 33
+.proc main
+	la  $t0, xs
+	li  $t1, 99
+	sw  $t1, 0($t0)
+	sw  $t1, 100($t0)
+	halt
+.endproc
+`)
+	const words = 1 << 12
+	images.free = nil // images left by an earlier run of this test
+	m := NewSized(p, words)
+	if err := m.Run(func(Event) {}); err != nil {
+		t.Fatal(err)
+	}
+	mem := m.Mem
+	m.Release()
+	if m.Mem != nil {
+		t.Error("Mem survives Release")
+	}
+	m = NewSized(p, words)
+	if &m.Mem[0] != &mem[0] {
+		t.Error("NewSized did not reuse the released image")
+	}
+	if m.Mem[isa.DataBase] != 11 || m.Mem[isa.DataBase+100] != 0 {
+		t.Errorf("reused image not reset: %d, %d", m.Mem[isa.DataBase], m.Mem[isa.DataBase+100])
+	}
+	if other := NewSized(p, words); &other.Mem[0] == &mem[0] {
+		t.Error("one image handed to two machines")
+	}
+
+	// Machines taking and releasing images at once each see a fresh
+	// image, never one another's writes.
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				m := NewSized(p, words)
+				if m.Mem[isa.DataBase] != 11 || m.Mem[isa.DataBase+100] != 0 {
+					t.Errorf("image not reset: %d, %d", m.Mem[isa.DataBase], m.Mem[isa.DataBase+100])
+				}
+				if err := m.Run(func(Event) {}); err != nil {
+					t.Error(err)
+				}
+				m.Release()
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestBranchOutcomes(t *testing.T) {
