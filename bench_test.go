@@ -393,7 +393,7 @@ func BenchmarkGroupCached(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if err := rep.Run(context.Background(), all...); err != nil {
+				if err := rep.Run(context.Background(), nil, all...); err != nil {
 					b.Fatal(err)
 				}
 				if err := rep.Close(); err != nil {
@@ -466,7 +466,7 @@ func BenchmarkTraceStoreRead(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := rep.Run(context.Background(), a); err != nil {
+		if err := rep.Run(context.Background(), nil, a); err != nil {
 			b.Fatal(err)
 		}
 		if err := rep.Close(); err != nil {
@@ -504,26 +504,38 @@ func chunkTrace(tr *groupTrace, m limits.Model) []*limits.Chunk {
 // machine model over the captured ccom trace: events are pre-decoded
 // into chunks once outside the timed region, so ns/op isolates
 // StepChunk — the generated per-model stepper whose cost the slowest
-// ring consumer bounds the whole parallel replay with.
+// ring consumer bounds the whole parallel replay with.  The last
+// sub-benchmark is the window study's bounded-window analyzer (SP-CD-MF,
+// unrolled, a 64-instruction window), which runs the generated
+// windowed stepper.
 func BenchmarkAnalyzerStep(b *testing.B) {
 	tr := loadGroupTrace(b, "ccom")
 	for _, m := range limits.AllModels() {
 		b.Run(m.String(), func(b *testing.B) {
-			b.ReportAllocs()
-			chunks := chunkTrace(tr, m)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				a := limits.NewAnalyzer(tr.st, m, false, tr.memWords)
-				for _, c := range chunks {
-					a.StepChunk(c)
-				}
-				if a.Result().Cycles == 0 {
-					b.Fatal("empty result")
-				}
-			}
-			b.ReportMetric(float64(len(tr.events)), "instrs/op")
+			benchStepChunks(b, tr, limits.Config{Model: m, MemWords: tr.memWords})
 		})
 	}
+	b.Run("SP-CD-MF.unrolled.window64", func(b *testing.B) {
+		benchStepChunks(b, tr, limits.Config{Model: limits.SPCDMF, Unrolling: true, MemWords: tr.memWords, Window: 64})
+	})
+}
+
+// benchStepChunks times fresh analyzers of one configuration stepping
+// the pre-decoded trace.
+func benchStepChunks(b *testing.B, tr *groupTrace, cfg limits.Config) {
+	b.ReportAllocs()
+	chunks := chunkTrace(tr, cfg.Model)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		a := limits.NewAnalyzerConfig(tr.st, cfg)
+		for _, c := range chunks {
+			a.StepChunk(c)
+		}
+		if a.Result().Cycles == 0 {
+			b.Fatal("empty result")
+		}
+	}
+	b.ReportMetric(float64(len(tr.events)), "instrs/op")
 }
 
 // BenchmarkAnnotate measures the producer-side pre-decode path in

@@ -153,7 +153,8 @@ func TestCLITraceCache(t *testing.T) {
 // schedule: pipeline faults suppress population (a mutated chunk must
 // never be committed) and warm hits stay valid under faults, so a
 // converged chaos run — cold or warm store — produces the reference
-// bytes.
+// bytes.  The warm phase must actually inject: the consumer faults fire
+// on the stored frames, so some attempt reports a fired fault.
 func TestCLITraceCacheChaos(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs binaries")
@@ -169,14 +170,18 @@ func TestCLITraceCacheChaos(t *testing.T) {
 	dir := t.TempDir()
 	for _, phase := range []string{"cold", "warm"} {
 		const attempts = 5
-		ok := false
+		ok, fired := false, false
 		for attempt := 1; attempt <= attempts; attempt++ {
 			derived := fmt.Sprintf("7%02d", attempt)
 			cmd := exec.Command(bin, "-bench", benches, "-json",
 				"-chaos", derived, "-trace-cache", dir)
 			var stdout, stderr bytes.Buffer
 			cmd.Stdout, cmd.Stderr = &stdout, &stderr
-			if runErr := cmd.Run(); runErr != nil {
+			runErr := cmd.Run()
+			if strings.Contains(stderr.String(), " fired:") && !strings.Contains(stderr.String(), "fired: nothing") {
+				fired = true
+			}
+			if runErr != nil {
 				t.Logf("%s attempt %d (chaos %s) failed as scheduled: %v", phase, attempt, derived, runErr)
 				continue
 			}
@@ -188,6 +193,9 @@ func TestCLITraceCacheChaos(t *testing.T) {
 		}
 		if !ok {
 			t.Fatalf("no clean %s chaos run within %d attempts", phase, attempts)
+		}
+		if phase == "warm" && !fired {
+			t.Fatal("no warm chaos attempt fired a fault: the warm replay ignores the fault plan")
 		}
 		if phase == "cold" {
 			// Populate cleanly so the second phase hits a warm store.

@@ -12,6 +12,13 @@
 // streams the columnar lanes of a limits.Chunk, plus the dispatch
 // table limits.NewAnalyzerConfig resolves once at construction.
 //
+// A finite scheduling window adds a completion-time ring to the same
+// body.  Only the configurations listed in windowed get a windowed
+// stepper — today the window study's SP-CD-MF, unrolled, unit latency,
+// the one a finite window runs under outside tests — because each one
+// costs about 100 generated lines; every other windowed configuration
+// keeps the generic path.
+//
 // The emitted code is derived mechanically from the generic
 // StepAnnotated (the equivalence oracle): each specialization is the
 // generic body with the model's constants substituted and the dead
@@ -74,6 +81,22 @@ var models = []modelSpec{
 	{ident: "Oracle", paper: "ORACLE", ctrl: "none"},
 }
 
+// windowSpec names one configuration that also gets a finite-window
+// stepper.
+type windowSpec struct {
+	// ident is the modelSpec.ident of the model.
+	ident       string
+	unroll, lat bool
+}
+
+// windowed lists the configurations with a generated finite-window
+// stepper; NewAnalyzerConfig runs every other windowed configuration
+// through the generic StepAnnotated loop.  Specializing another one is
+// a one-line addition here.
+var windowed = []windowSpec{
+	{ident: "SPCDMF", unroll: true}, // harness.RunWindowStudy
+}
+
 // gen accumulates emitted source; go/format normalizes the layout.
 type gen struct {
 	buf bytes.Buffer
@@ -86,7 +109,7 @@ func (g *gen) p(format string, args ...interface{}) {
 }
 
 // funcName builds the stepper identifier for one configuration.
-func funcName(m modelSpec, unroll, lat bool) string {
+func funcName(m modelSpec, unroll, lat, window bool) string {
 	u, l := "plain", "unit"
 	if unroll {
 		u = "unroll"
@@ -94,7 +117,22 @@ func funcName(m modelSpec, unroll, lat bool) string {
 	if lat {
 		l = "lat"
 	}
-	return fmt.Sprintf("step%s_%s_%s", m.ident, u, l)
+	name := fmt.Sprintf("step%s_%s_%s", m.ident, u, l)
+	if window {
+		name += "_win"
+	}
+	return name
+}
+
+// modelByIdent finds a model's spec by its identifier.
+func modelByIdent(ident string) modelSpec {
+	for _, m := range models {
+		if m.ident == ident {
+			return m
+		}
+	}
+	log.Fatalf("unknown model %q", ident)
+	return modelSpec{}
 }
 
 // attentionMask renders the constant attention-mask expression: the
@@ -123,9 +161,11 @@ func skipMask(unroll bool) string {
 // emitStepper writes one specialized chunk stepper.  The body is the
 // generic StepAnnotated with this configuration's constants folded:
 // dead model branches deleted, masks inlined, and the per-event
-// count/maxT updates hoisted to chunk-local accumulators.
-func emitStepper(g *gen, m modelSpec, unroll, lat bool) {
-	name := funcName(m, unroll, lat)
+// count/maxT updates hoisted to chunk-local accumulators.  A window
+// stepper also holds the completion-time ring and its position in
+// locals across the chunk.
+func emitStepper(g *gen, m modelSpec, unroll, lat, window bool) {
+	name := funcName(m, unroll, lat, window)
 	uDesc := "without unrolling"
 	if unroll {
 		uDesc = "with perfect unrolling"
@@ -133,6 +173,9 @@ func emitStepper(g *gen, m modelSpec, unroll, lat bool) {
 	lDesc := "unit latency"
 	if lat {
 		lDesc = "a latency table"
+	}
+	if window {
+		lDesc += ", a finite window"
 	}
 	// isBr is needed beyond the mispred computation whenever the model
 	// reacts to branch completion (rec table, branch-ordering times) or
@@ -152,6 +195,9 @@ func emitStepper(g *gen, m modelSpec, unroll, lat bool) {
 		g.p("latTab := (*[latTabLen]int64)(a.latTab)")
 	}
 	g.p("count, maxT := a.count, a.maxT")
+	if window {
+		g.p("ring, pos := a.ring, a.ringPos")
+	}
 	g.p("for i := range idxL {")
 	g.p("flags := flagsL[i]")
 	// Models without control-dependence tracking never read meta on the
@@ -284,11 +330,26 @@ func emitStepper(g *gen, m modelSpec, unroll, lat bool) {
 		log.Fatalf("unknown ctrl kind %q", m.ctrl)
 	}
 
+	// Finite window: wait for the instruction `window` scheduled
+	// positions earlier to complete.
+	if window {
+		g.p("if w := ring[pos]; w > t {")
+		g.p("t = w")
+		g.p("}")
+	}
+
 	// Issue + completion time (T = t+1; C = T + lat - 1 folds to t+lat).
 	if lat {
 		g.p("C := t + latTab[m.op]")
 	} else {
 		g.p("C := t + 1")
+	}
+	if window {
+		g.p("ring[pos] = C")
+		g.p("pos++")
+		g.p("if pos == len(ring) {")
+		g.p("pos = 0")
+		g.p("}")
 	}
 
 	// Record the schedule.  The destination store is unconditional — a
@@ -357,6 +418,9 @@ func emitStepper(g *gen, m modelSpec, unroll, lat bool) {
 
 	g.p("}")
 	g.p("a.count, a.maxT = count, maxT")
+	if window {
+		g.p("a.ringPos = pos")
+	}
 	g.p("}")
 	g.p("")
 }
@@ -371,6 +435,14 @@ func emitRec(g *gen, termT, mispredT string) {
 	g.p("}")
 }
 
+// boolTest renders a test that the named bool equals want.
+func boolTest(name string, want bool) string {
+	if want {
+		return name
+	}
+	return "!" + name
+}
+
 func main() {
 	out := flag.String("out", "step_gen.go", "output file (package limits)")
 	flag.Parse()
@@ -379,11 +451,12 @@ func main() {
 	g.p("// Code generated by cmd/stepgen; DO NOT EDIT.")
 	g.p("")
 	g.p("// Specialized columnar analyzer steppers: one branch-free chunk")
-	g.p("// stepper per (model, unrolling, latency) configuration, derived")
-	g.p("// from the generic StepAnnotated with the configuration's constants")
-	g.p("// folded away.  Regenerate with `make generate` (or `go generate")
-	g.p("// ./internal/limits`); `make generate-check` fails when this file")
-	g.p("// drifts from cmd/stepgen.")
+	g.p("// stepper per (model, unrolling, latency) configuration, plus a")
+	g.p("// finite-window stepper for each configuration cmd/stepgen lists in")
+	g.p("// windowed, derived from the generic StepAnnotated with the")
+	g.p("// configuration's constants folded away.  Regenerate with `make")
+	g.p("// generate` (or `go generate ./internal/limits`); `make")
+	g.p("// generate-check` fails when this file drifts from cmd/stepgen.")
 	g.p("package limits")
 	g.p("")
 	g.p("import \"ilplimit/internal/isa\"")
@@ -402,7 +475,7 @@ func main() {
 	for _, m := range models {
 		for _, unroll := range []bool{false, true} {
 			for _, lat := range []bool{false, true} {
-				emitStepper(g, m, unroll, lat)
+				emitStepper(g, m, unroll, lat, false)
 			}
 		}
 	}
@@ -414,7 +487,7 @@ func main() {
 	for _, m := range models {
 		g.p("%s: {", m.ident)
 		for _, unroll := range []bool{false, true} {
-			g.p("{%s, %s},", funcName(m, unroll, false), funcName(m, unroll, true))
+			g.p("{%s, %s},", funcName(m, unroll, false, false), funcName(m, unroll, true, false))
 		}
 		g.p("},")
 	}
@@ -439,6 +512,24 @@ func main() {
 	g.p("l = 1")
 	g.p("}")
 	g.p("return steppers[m][u][l]")
+	g.p("}")
+	g.p("")
+
+	for _, w := range windowed {
+		emitStepper(g, modelByIdent(w.ident), w.unroll, w.lat, true)
+	}
+	g.p("// windowStepperFor resolves the finite-window stepper for one")
+	g.p("// analyzer configuration, or nil outside the generated set.  It")
+	g.p("// assumes the invariants stepperFor does, except that the window")
+	g.p("// is finite: NewAnalyzerConfig sized a.ring to it.")
+	g.p("func windowStepperFor(m Model, unrolling, latTable bool) func(*Analyzer, *Chunk) {")
+	g.p("switch {")
+	for _, w := range windowed {
+		g.p("case m == %s && %s && %s:", w.ident, boolTest("unrolling", w.unroll), boolTest("latTable", w.lat))
+		g.p("return %s", funcName(modelByIdent(w.ident), w.unroll, w.lat, true))
+	}
+	g.p("}")
+	g.p("return nil")
 	g.p("}")
 
 	src, err := format.Source(g.buf.Bytes())

@@ -8,7 +8,9 @@
 // A Plan is pure data; it acts only when wired into the two test-only
 // hooks the pipeline exposes — vm.VM.StepHook (via Plan.StepHook) and the
 // replay's ReplayHooks (via Plan.Hooks, installed through
-// limits.ReplayOptions.Hooks).  Production code never constructs a Plan,
+// limits.ReplayOptions.Hooks; a warm trace-store replay takes the
+// consumer seam, BeforeChunk, through tracestore.Replay.Run).
+// Production code never constructs a Plan,
 // so the hot paths carry at most a nil check per chunk.  Every fault site records whether
 // it actually fired (Plan.Fired), letting tests assert that a recovery
 // path was exercised rather than skipped.

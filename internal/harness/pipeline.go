@@ -227,7 +227,7 @@ func runPass(opt Options, p pass) (out *outcome, err error) {
 			scope.Counter("store.populate_errors").Inc()
 			logf("trace cache: %v; running uncached", err)
 			store = nil
-		} else if out, err := p.warm(ctx, store, prog, memWords, scope, logf); err != nil || out != nil {
+		} else if out, err := p.warm(ctx, store, prog, memWords, hooks, scope, logf); err != nil || out != nil {
 			return out, err
 		}
 	}
@@ -361,9 +361,11 @@ func runPass(opt Options, p pass) (out *outcome, err error) {
 // pass must run live — miss, corrupt or skewed file, a sidecar lacking
 // a statistic, an ordering violation, or a recovered replay panic —
 // (out, nil) on a hit, and a non-nil error only for failures that must
-// not fall back (cancellation).
+// not fall back (cancellation).  The consumer faults of hooks fire on
+// the stored frames as on a live replay; its publish faults do not,
+// since stored frames are read-only.
 func (p *pass) warm(ctx context.Context, store *tracestore.Store, prog *isa.Program, memWords int,
-	scope *telemetry.Registry, logf func(string, ...interface{})) (out *outcome, err error) {
+	hooks *limits.ReplayHooks, scope *telemetry.Registry, logf func(string, ...interface{})) (out *outcome, err error) {
 	fallback := func(format string, args ...interface{}) (*outcome, error) {
 		scope.Counter("store.fallbacks").Inc()
 		logf("trace cache: "+format+"; running live", args...)
@@ -396,8 +398,12 @@ func (p *pass) warm(ctx context.Context, store *tracestore.Store, prog *isa.Prog
 	}
 	logf("analyzing %d configurations over %d instructions (cached trace, %d frames)",
 		len(all), stats.Steps, rep.Frames())
+	var beforeChunk func(int, *limits.Chunk) bool
+	if hooks != nil {
+		beforeChunk = hooks.BeforeChunk
+	}
 	replayDone := stageTimer(scope, "cached_replay")
-	err = rep.Run(ctx, all...)
+	err = rep.Run(ctx, beforeChunk, all...)
 	replayDone()
 	if err != nil {
 		// Every frame was CRC-validated at Open, so a mid-replay error is

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"ilplimit/internal/bench"
 	"ilplimit/internal/faultinject"
@@ -182,6 +183,54 @@ func TestTraceCacheFaultComposition(t *testing.T) {
 	warm.Telemetry = nil
 	if !reflect.DeepEqual(live, warm) {
 		t.Errorf("warm run under faults differs from live")
+	}
+}
+
+// TestTraceCacheWarmReplayFaults: a warm hit runs the fault plan's
+// consumer faults on the stored frames.  A slow consumer delays the hit
+// without changing it; a Once-armed analyzer panic fires, the pass
+// falls back to a live run (which the spent plan leaves clean), and the
+// result still matches the uncached one.
+func TestTraceCacheWarmReplayFaults(t *testing.T) {
+	b, err := bench.ByName("eqntott")
+	if err != nil {
+		t.Fatal(err)
+	}
+	live, err := RunBenchmark(b, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if _, err := RunBenchmark(b, Options{TraceStore: dir}); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name    string
+		plan    *faultinject.Plan
+		counter string
+		fired   func(*faultinject.Plan) int64
+	}{
+		{"slow", &faultinject.Plan{Once: true, SlowConsumer: 1, SlowEvery: 512, SlowFor: time.Microsecond},
+			"store.hits", (*faultinject.Plan).FiredSlow},
+		{"panic", &faultinject.Plan{Once: true, PanicConsumer: 2, PanicAtSeq: 100},
+			"store.fallbacks", func(p *faultinject.Plan) int64 { _, n, _, _ := p.Fired(); return n }},
+	} {
+		reg := telemetry.NewRegistry()
+		warm, err := RunBenchmark(b, Options{TraceStore: dir, Metrics: reg,
+			Faults: func(string) *faultinject.Plan { return tc.plan }})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if n := tc.fired(tc.plan); n == 0 {
+			t.Errorf("%s: the fault never fired on the warm replay", tc.name)
+		}
+		if c := reg.Snapshot().Counters["bench.eqntott."+tc.counter]; c != 1 {
+			t.Errorf("%s: %s = %d, want 1", tc.name, tc.counter, c)
+		}
+		warm.Telemetry = nil
+		if !reflect.DeepEqual(live, warm) {
+			t.Errorf("%s: warm run under faults differs from live", tc.name)
+		}
 	}
 }
 

@@ -153,10 +153,11 @@ type Analyzer struct {
 	// latTab is the per-opcode latency table (nil for unit latency).
 	latTab []int64
 	// fast is the generated columnar stepper for this (model, unroll,
-	// latency) configuration (see step_gen.go), resolved once at
+	// latency, window) configuration (see step_gen.go), resolved once at
 	// construction; nil when the configuration needs the generic path
-	// (finite window, width tracking).  StepChunk re-checks the dynamic
-	// preconditions (OnSchedule, predictor lane) before dispatching.
+	// (width tracking, or a finite window outside the generated
+	// windowed set).  StepChunk re-checks the dynamic preconditions
+	// (OnSchedule, predictor lane) before dispatching.
 	fast func(*Analyzer, *Chunk)
 
 	// Greedy schedule state: last-write times.  memTime is paged so the
@@ -209,6 +210,10 @@ func NewAnalyzer(st *Static, model Model, unrolling bool, memWords int) *Analyze
 }
 
 // NewAnalyzerConfig creates an analyzer with explicit ablation settings.
+// It installs a generated stepper for every unbounded-window
+// configuration and for the finite-window ones cmd/stepgen specializes
+// (SP-CD-MF, unrolled, unit latency: the window study's); width
+// tracking and every other finite window run the generic path.
 func NewAnalyzerConfig(st *Static, cfg Config) *Analyzer {
 	a := &Analyzer{
 		st:        st,
@@ -253,10 +258,15 @@ func NewAnalyzerConfig(st *Static, cfg Config) *Analyzer {
 		panic("limits: speculative model requires a predictor")
 	}
 	// The generated specializations fold away exactly the choices fixed
-	// here; configurations they do not cover (finite window, width
-	// tracking) keep fast == nil and run the generic StepAnnotated loop.
-	if cfg.Window == 0 && !cfg.TrackWidths {
+	// here; configurations they do not cover (width tracking, finite
+	// windows outside the windowed set) keep fast == nil and run the
+	// generic StepAnnotated loop.
+	switch {
+	case cfg.TrackWidths:
+	case cfg.Window == 0:
 		a.fast = stepperFor(cfg.Model, cfg.Unrolling, a.latTab != nil)
+	case cfg.Window > 0:
+		a.fast = windowStepperFor(cfg.Model, cfg.Unrolling, a.latTab != nil)
 	}
 	return a
 }
@@ -295,11 +305,11 @@ func (a *Analyzer) Step(ev vm.Event) {
 // StepChunk schedules every event of one columnar chunk — the hot loop
 // of a replay.  Configurations inside the generated set dispatch to
 // their build-time specialized stepper (step_gen.go), where the control
-// kind, attention masks, filter predicates and latency choice are
-// compile-time constants; everything else — finite window, width
-// tracking, a schedule callback, a speculative analyzer without a
-// predictor lane — falls back to the generic StepAnnotated loop with
-// bit-identical results.
+// kind, attention masks, filter predicates, latency choice and window
+// ring are compile-time constants; everything else — width tracking, a
+// finite window outside the generated set, a schedule callback, a
+// speculative analyzer without a predictor lane — falls back to the
+// generic StepAnnotated loop with bit-identical results.
 func (a *Analyzer) StepChunk(c *Chunk) {
 	if f := a.fast; f != nil && a.OnSchedule == nil && (!a.spec || a.mispredMask != 0) {
 		f(a, c)

@@ -15,13 +15,15 @@ import (
 // This file cross-checks the one-pass analyzer against an independent
 // O(n²) reference scheduler for the models whose constraints do not need
 // the control-dependence machinery (BASE, SP, ORACLE), over randomly
-// generated programs.  The reference recomputes every dependence by
-// scanning the whole trace prefix, sharing nothing with the analyzer's
-// incremental state.
+// generated programs, with an unbounded or a finite scheduling window.
+// The reference recomputes every dependence by scanning the whole trace
+// prefix, sharing nothing with the analyzer's incremental state.
 
-// referenceSchedule schedules the events by brute force.
+// referenceSchedule schedules the events by brute force.  A window
+// W > 0 forbids an instruction from issuing before the scheduled
+// instruction W positions earlier has completed.
 func referenceSchedule(p *isa.Program, events []vm.Event, model Model,
-	pred predict.Oracle) (count, cycles int64) {
+	pred predict.Oracle, window int) (count, cycles int64) {
 
 	filter := trace.NewFilter(p, nil)
 	times := make([]int64, len(events))
@@ -104,6 +106,20 @@ func referenceSchedule(p *isa.Program, events []vm.Event, model Model,
 		}
 		if ctrl > t {
 			t = ctrl
+		}
+		// Window: count back W scheduled instructions.
+		if window > 0 {
+			for j, seen := i-1, 0; j >= 0; j-- {
+				if times[j] < 0 {
+					continue
+				}
+				if seen++; seen == window {
+					if times[j] > t {
+						t = times[j]
+					}
+					break
+				}
+			}
 		}
 		times[i] = t + 1
 		count++
@@ -195,15 +211,17 @@ func TestAnalyzerMatchesReference(t *testing.T) {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		for _, m := range models {
-			a := NewAnalyzer(st, m, false, len(machine.Mem))
-			for _, ev := range events {
-				a.Step(ev)
-			}
-			got := a.Result()
-			wantCount, wantCycles := referenceSchedule(p, events, m, pred)
-			if got.Instructions != wantCount || got.Cycles != wantCycles {
-				t.Fatalf("trial %d model %s: analyzer (%d instrs, %d cycles) != reference (%d, %d)\n%s",
-					trial, m, got.Instructions, got.Cycles, wantCount, wantCycles, src)
+			for _, w := range []int{0, 1, 3, 16} {
+				a := NewAnalyzerConfig(st, Config{Model: m, MemWords: len(machine.Mem), Window: w})
+				for _, ev := range events {
+					a.Step(ev)
+				}
+				got := a.Result()
+				wantCount, wantCycles := referenceSchedule(p, events, m, pred, w)
+				if got.Instructions != wantCount || got.Cycles != wantCycles {
+					t.Fatalf("trial %d model %s window %d: analyzer (%d instrs, %d cycles) != reference (%d, %d)\n%s",
+						trial, m, w, got.Instructions, got.Cycles, wantCount, wantCycles, src)
+				}
 			}
 		}
 	}

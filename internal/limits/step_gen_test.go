@@ -10,15 +10,23 @@ import (
 )
 
 // This file pins the contract of the generated steppers (step_gen.go):
-// for every (model, unroll, latency) configuration the specialization
-// must compute Results bit-identical to the generic StepAnnotated loop
-// it was derived from — over seeded traces, serially and through the
-// parallel fan-out — and the dispatch must fall back to the generic
-// path exactly when a configuration leaves the generated set.
+// for every (model, unroll, latency) configuration, and for the
+// windowed ones, the specialization must compute Results bit-identical
+// to the generic StepAnnotated loop it was derived from — over seeded
+// traces, serially and through the parallel fan-out — and the dispatch
+// must fall back to the generic path exactly when a configuration
+// leaves the generated set.
+
+// testWindows are the finite windows the windowed stepper is checked
+// at: the smallest, one that is not a power of two, the one the window
+// study also runs, and one just past a chunk, so the ring position
+// carries across chunk boundaries.
+var testWindows = []int{1, 3, 64, ChunkEvents + 1}
 
 // stepConfigs enumerates every configuration the generator covers:
 // all models × both unroll settings × unit latency and the default
-// latency table.
+// latency table, plus the windowed SP-CD-MF/unrolled/unit stepper at
+// every test window.
 func stepConfigs(memWords int) []Config {
 	var cfgs []Config
 	for _, m := range AllModels() {
@@ -29,6 +37,9 @@ func stepConfigs(memWords int) []Config {
 			)
 		}
 	}
+	for _, w := range testWindows {
+		cfgs = append(cfgs, Config{Model: SPCDMF, Unrolling: true, MemWords: memWords, Window: w})
+	}
 	return cfgs
 }
 
@@ -38,7 +49,18 @@ func cfgName(cfg Config) string {
 	if cfg.Latency != nil {
 		lat = "lat"
 	}
-	return fmt.Sprintf("%v/unroll=%v/%s", cfg.Model, cfg.Unrolling, lat)
+	return fmt.Sprintf("%v/unroll=%v/%s/window=%d", cfg.Model, cfg.Unrolling, lat, cfg.Window)
+}
+
+// stepTraces returns the traces the equivalence tests replay: two
+// short seeded random programs, then the bench program's trace, long
+// enough (dozens of chunks) for every test window to wrap its ring.
+func stepTraces(t *testing.T, seeds ...int64) []func() (*Static, []vm.Event, int) {
+	var traces []func() (*Static, []vm.Event, int)
+	for _, seed := range seeds {
+		traces = append(traces, func() (*Static, []vm.Event, int) { return seededTrace(t, seed) })
+	}
+	return append(traces, func() (*Static, []vm.Event, int) { return buildBenchProgramTrace(t) })
 }
 
 // chunkify annotates a trace into ChunkEvents-sized columnar chunks
@@ -62,7 +84,8 @@ func chunkify(st *Static, events []vm.Event, memWords int) []*Chunk {
 
 // TestStepperCoverage checks that the generated dispatch table has a
 // specialization for every (model, unroll, latency) configuration and
-// rejects models outside the lattice.
+// rejects models outside the lattice, and that the windowed dispatch
+// resolves exactly the generated SP-CD-MF/unrolled/unit configuration.
 func TestStepperCoverage(t *testing.T) {
 	for _, m := range AllModels() {
 		for _, unroll := range []bool{false, true} {
@@ -79,6 +102,16 @@ func TestStepperCoverage(t *testing.T) {
 	if stepperFor(Model(NumModels), false, false) != nil {
 		t.Error("stepperFor(NumModels) != nil")
 	}
+	for m := Model(-1); m <= Model(NumModels); m++ {
+		for _, unroll := range []bool{false, true} {
+			for _, lat := range []bool{false, true} {
+				want := m == SPCDMF && unroll && !lat
+				if got := windowStepperFor(m, unroll, lat) != nil; got != want {
+					t.Errorf("windowStepperFor(%d, %v, %v) resolved=%v, want %v", m, unroll, lat, got, want)
+				}
+			}
+		}
+	}
 }
 
 // TestGeneratedMatchesGeneric is the equivalence oracle: for every
@@ -87,13 +120,13 @@ func TestStepperCoverage(t *testing.T) {
 // analyzer shape, fast dispatch disabled) must produce identical
 // Results — as must the raw self-annotating Step path.
 func TestGeneratedMatchesGeneric(t *testing.T) {
-	for _, seed := range []int64{1, 20260808} {
-		st, events, memWords := seededTrace(t, seed)
+	for trace, build := range stepTraces(t, 1, 20260808) {
+		st, events, memWords := build()
 		chunks := chunkify(st, events, memWords)
 		for _, cfg := range stepConfigs(memWords) {
 			spec := NewAnalyzerConfig(st, cfg)
 			if spec.fast == nil {
-				t.Fatalf("seed %d %s: no specialization installed", seed, cfgName(cfg))
+				t.Fatalf("trace %d %s: no specialization installed", trace, cfgName(cfg))
 			}
 			gen := NewAnalyzerConfig(st, cfg)
 			gen.fast = nil // force the generic StepAnnotated loop
@@ -107,12 +140,12 @@ func TestGeneratedMatchesGeneric(t *testing.T) {
 			}
 			want := gen.Result()
 			if got := spec.Result(); !reflect.DeepEqual(got, want) {
-				t.Errorf("seed %d %s: generated stepper diverges from generic\ngot:  %+v\nwant: %+v",
-					seed, cfgName(cfg), got, want)
+				t.Errorf("trace %d %s: generated stepper diverges from generic\ngot:  %+v\nwant: %+v",
+					trace, cfgName(cfg), got, want)
 			}
 			if got := raw.Result(); !reflect.DeepEqual(got, want) {
-				t.Errorf("seed %d %s: raw Step path diverges from generic\ngot:  %+v\nwant: %+v",
-					seed, cfgName(cfg), got, want)
+				t.Errorf("trace %d %s: raw Step path diverges from generic\ngot:  %+v\nwant: %+v",
+					trace, cfgName(cfg), got, want)
 			}
 		}
 	}
@@ -125,7 +158,17 @@ func TestGeneratedMatchesGeneric(t *testing.T) {
 // the specialized steppers race-clean across the ring's worker
 // goroutines.
 func TestGeneratedParallelAndSerial(t *testing.T) {
-	st, events, memWords := seededTrace(t, 424242)
+	for trace, build := range stepTraces(t, 424242) {
+		t.Run(fmt.Sprint(trace), func(t *testing.T) {
+			st, events, memWords := build()
+			checkParallelAndSerial(t, st, events, memWords)
+		})
+	}
+}
+
+// checkParallelAndSerial replays one trace through every configuration
+// of stepConfigs on both transports.
+func checkParallelAndSerial(t *testing.T, st *Static, events []vm.Event, memWords int) {
 	run := replayFromEvents(events)
 	build := func() []*Analyzer {
 		var as []*Analyzer
@@ -160,26 +203,29 @@ func TestGeneratedParallelAndSerial(t *testing.T) {
 	}
 }
 
-// TestStepChunkFallbacks checks the dispatch preconditions: finite
-// windows and width tracking must leave fast == nil at construction,
-// an OnSchedule callback must divert StepChunk to the generic loop at
-// dispatch time, and both fallbacks must still match the raw Step
-// path bit for bit.
+// TestStepChunkFallbacks checks the dispatch preconditions: a finite
+// window outside the generated windowed set (another model, or a
+// latency table) and width tracking must leave fast == nil at
+// construction, an OnSchedule callback must divert StepChunk to the
+// generic loop at dispatch time, and every fallback must still match
+// the raw Step path bit for bit.
 func TestStepChunkFallbacks(t *testing.T) {
 	st, events, memWords := seededTrace(t, 77)
 	chunks := chunkify(st, events, memWords)
 
-	if a := NewAnalyzerConfig(st, Config{Model: SPCDMF, MemWords: memWords, Window: 64}); a.fast != nil {
-		t.Error("finite window installed a specialized stepper")
+	fallbacks := []Config{
+		{Model: SP, MemWords: memWords, Window: 64},
+		{Model: SPCDMF, Unrolling: true, MemWords: memWords, Window: 64, Latency: DefaultLatencies},
+		{Model: SPCDMF, Unrolling: true, MemWords: memWords, Window: 64, TrackWidths: true},
+		{Model: SP, MemWords: memWords, TrackWidths: true},
 	}
-	if a := NewAnalyzerConfig(st, Config{Model: SPCDMF, MemWords: memWords, TrackWidths: true}); a.fast != nil {
-		t.Error("width tracking installed a specialized stepper")
+	for _, cfg := range fallbacks {
+		if a := NewAnalyzerConfig(st, cfg); a.fast != nil {
+			t.Errorf("%s (widths=%v) installed a specialized stepper", cfgName(cfg), cfg.TrackWidths)
+		}
 	}
 
-	for _, cfg := range []Config{
-		{Model: SPCDMF, MemWords: memWords, Window: 64},
-		{Model: SP, MemWords: memWords, TrackWidths: true},
-	} {
+	for _, cfg := range fallbacks {
 		chunked := NewAnalyzerConfig(st, cfg)
 		for _, c := range chunks {
 			chunked.StepChunk(c)

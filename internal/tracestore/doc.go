@@ -20,9 +20,10 @@
 // cases) and each frame becomes a zero-copy limits.ChunkView streamed
 // through the analyzers' specialized steppers — no VM run, no
 // annotation, no ring, no flow control: in the parallel path every
-// analyzer walks the frames behind its own independent cursor.  Every
-// frame CRC is validated at Open, before any analyzer steps, so a
-// corrupt, torn, or fingerprint-skewed file is indistinguishable from a
-// miss: callers fall back to the live producer and results never
-// change, only cost.
+// analyzer walks the frames behind its own independent cursor.  A fault
+// plan's consumer seam runs per analyzer per frame, as on a live
+// replay.  Every frame CRC is validated at Open, before any analyzer
+// steps, so a corrupt, torn, or fingerprint-skewed file is
+// indistinguishable from a miss: callers fall back to the live producer
+// and results never change, only cost.
 package tracestore

@@ -104,18 +104,30 @@ func (r *Replay) Close() error {
 // longer exists.  Analyzer panics are rethrown as *limits.PanicError
 // after every worker stops, and cancellation returns an error wrapping
 // vm.ErrCanceled, both exactly like the live replay.
-func (r *Replay) Run(ctx context.Context, analyzers ...*limits.Analyzer) error {
+//
+// beforeChunk, when non-nil, is the live replay's consumer seam
+// (limits.ReplayHooks.BeforeChunk): it runs before analyzer id steps
+// each frame, and returning true skips the frame for that analyzer, so
+// a fault plan stalls, slows, panics or starves a warm replay as it
+// would a live one.  There is no publish seam: frames are read-only
+// views of the stored file.
+func (r *Replay) Run(ctx context.Context, beforeChunk func(id int, c *limits.Chunk) (skip bool), analyzers ...*limits.Analyzer) error {
 	limits.AssignReplayLanes(analyzers...)
 	views := make([]*limits.Chunk, r.cf.NumFrames())
 	for i := range views {
 		views[i] = limits.ChunkView(r.cf.Frame(i))
+	}
+	step := func(id int, a *limits.Analyzer, c *limits.Chunk) {
+		if beforeChunk == nil || !beforeChunk(id, c) {
+			a.StepChunk(c)
+		}
 	}
 	if len(analyzers) == 1 {
 		for i, c := range views {
 			if i&0x0F == 0 && ctx.Err() != nil {
 				return canceled(ctx)
 			}
-			analyzers[0].StepChunk(c)
+			step(0, analyzers[0], c)
 		}
 		if ctx.Err() != nil {
 			return canceled(ctx)
@@ -140,9 +152,9 @@ func (r *Replay) Run(ctx context.Context, analyzers ...*limits.Analyzer) error {
 		workerPanic *limits.PanicError
 	)
 	var wg sync.WaitGroup
-	for _, a := range analyzers {
+	for id, a := range analyzers {
 		wg.Add(1)
-		go func(a *limits.Analyzer) {
+		go func(id int, a *limits.Analyzer) {
 			defer wg.Done()
 			defer func() {
 				if p := recover(); p != nil {
@@ -157,9 +169,9 @@ func (r *Replay) Run(ctx context.Context, analyzers ...*limits.Analyzer) error {
 				if i&0x0F == 0 && stop.Load() {
 					return
 				}
-				a.StepChunk(c)
+				step(id, a, c)
 			}
-		}(a)
+		}(id, a)
 	}
 	wg.Wait()
 	panicMu.Lock()

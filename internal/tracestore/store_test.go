@@ -7,8 +7,10 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"ilplimit/internal/asm"
+	"ilplimit/internal/faultinject"
 	"ilplimit/internal/iofault"
 	"ilplimit/internal/isa"
 	"ilplimit/internal/limits"
@@ -68,7 +70,8 @@ func profileProgram(t *testing.T, prog *isa.Program) (*vm.VM, *limits.Static) {
 }
 
 // makeCells builds one analyzer per model × unroll × latency cell — the
-// full grid the equivalence guarantee covers.
+// full grid the equivalence guarantee covers — plus the window study's
+// finite-window cell.
 func makeCells(st *limits.Static, memWords int) []*limits.Analyzer {
 	var cells []*limits.Analyzer
 	for _, m := range limits.AllModels() {
@@ -80,7 +83,9 @@ func makeCells(st *limits.Static, memWords int) []*limits.Analyzer {
 			}
 		}
 	}
-	return cells
+	return append(cells, limits.NewAnalyzerConfig(st, limits.Config{
+		Model: limits.SPCDMF, Unrolling: true, MemWords: memWords, Window: 64,
+	}))
 }
 
 func testKey(prog *isa.Program, st *limits.Static, lanes int) tracestore.Key {
@@ -93,20 +98,18 @@ func testKey(prog *isa.Program, st *limits.Static, lanes int) tracestore.Key {
 	}
 }
 
-// TestCachedVsLiveEquivalence is the store's core guarantee: every
-// model × unroll × latency cell computes byte-identical results whether
-// it stepped the live annotated stream or a stored trace, as a lone
-// inline analyzer or fanned out across goroutines.
-func TestCachedVsLiveEquivalence(t *testing.T) {
+// populatedStore replays the test program live through makeCells while
+// populating a fresh store, and returns the store, the entry's key, the
+// live analyzers and the machine (for its memory size and step count).
+func populatedStore(t *testing.T) (*tracestore.Store, tracestore.Key, *limits.Static, *vm.VM, []*limits.Analyzer) {
+	t.Helper()
 	prog := buildProgram(t)
 	machine, st := profileProgram(t, prog)
-	memWords := len(machine.Mem)
-
 	store, err := tracestore.Open(iofault.OS(), t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	live := makeCells(st, memWords)
+	live := makeCells(st, len(machine.Mem))
 	lanes := limits.AssignReplayLanes(live...)
 	key := testKey(prog, st, lanes)
 	pop, err := store.BeginPopulate(key, []byte(`{"Steps":1}`))
@@ -123,6 +126,16 @@ func TestCachedVsLiveEquivalence(t *testing.T) {
 	if pop.Events() != machine.Steps {
 		t.Fatalf("stored %d events, VM retired %d", pop.Events(), machine.Steps)
 	}
+	return store, key, st, machine, live
+}
+
+// TestCachedVsLiveEquivalence is the store's core guarantee: every
+// model × unroll × latency cell computes byte-identical results whether
+// it stepped the live annotated stream or a stored trace, as a lone
+// inline analyzer or fanned out across goroutines.
+func TestCachedVsLiveEquivalence(t *testing.T) {
+	store, key, st, machine, live := populatedStore(t)
+	memWords := len(machine.Mem)
 
 	for _, n := range []int{1, len(live)} {
 		warm := makeCells(st, memWords)[:n]
@@ -133,7 +146,7 @@ func TestCachedVsLiveEquivalence(t *testing.T) {
 		if rep.Events() != machine.Steps {
 			t.Fatalf("replay sees %d events, want %d", rep.Events(), machine.Steps)
 		}
-		if err := rep.Run(context.Background(), warm...); err != nil {
+		if err := rep.Run(context.Background(), nil, warm...); err != nil {
 			t.Fatalf("%d cells: %v", n, err)
 		}
 		rep.Close()
@@ -143,6 +156,60 @@ func TestCachedVsLiveEquivalence(t *testing.T) {
 				t.Errorf("%d cells, cell %d (%v): cached result differs\nlive: %+v\nwarm: %+v",
 					n, i, lr.Model, lr, wr)
 			}
+		}
+	}
+}
+
+// TestWarmReplayConsumerFault: a fault plan's consumer seam fires on a
+// warm multi-analyzer replay as on a live one.  A Once-armed analyzer
+// panic comes back as *limits.PanicError, and the retry — fresh
+// analyzers, same plan — runs clean, slowed but not changed, and
+// reproduces the live results.
+func TestWarmReplayConsumerFault(t *testing.T) {
+	store, key, st, machine, live := populatedStore(t)
+	plan := &faultinject.Plan{
+		Once:          true,
+		PanicConsumer: 2, PanicAtSeq: 1,
+		SlowConsumer: 1, SlowEvery: 512, SlowFor: time.Microsecond,
+	}
+	hooks := plan.Hooks()
+	replay := func() (cells []*limits.Analyzer, pe *limits.PanicError) {
+		cells = makeCells(st, len(machine.Mem))
+		rep, err := store.Open(key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rep.Close()
+		defer func() {
+			if r := recover(); r != nil {
+				var ok bool
+				if pe, ok = r.(*limits.PanicError); !ok {
+					t.Fatalf("warm replay panicked with %T (%v), want *limits.PanicError", r, r)
+				}
+			}
+		}()
+		if err := rep.Run(context.Background(), hooks.BeforeChunk, cells...); err != nil {
+			t.Fatal(err)
+		}
+		return cells, nil
+	}
+
+	if _, pe := replay(); pe == nil || !strings.Contains(pe.Error(), "planned panic") {
+		t.Fatalf("first warm replay: panic %v, want the planned consumer panic", pe)
+	}
+	cells, pe := replay()
+	if pe != nil {
+		t.Fatalf("retry panicked again: %v", pe)
+	}
+	if _, panicked, _, _ := plan.Fired(); panicked != 1 {
+		t.Errorf("panic fired %d times, want 1", panicked)
+	}
+	if plan.FiredSlow() == 0 {
+		t.Error("slow consumer never fired on the warm replay")
+	}
+	for i := range cells {
+		if lr, wr := live[i].Result(), cells[i].Result(); !reflect.DeepEqual(lr, wr) {
+			t.Errorf("cell %d (%v): retried warm result differs\nlive: %+v\nwarm: %+v", i, lr.Model, lr, wr)
 		}
 	}
 }
@@ -353,7 +420,7 @@ func TestReplayCancellation(t *testing.T) {
 	defer rep.Close()
 	for _, n := range []int{1, len(live)} {
 		warm := makeCells(st, len(machine.Mem))[:n]
-		if err := rep.Run(ctx, warm...); !errors.Is(err, vm.ErrCanceled) {
+		if err := rep.Run(ctx, nil, warm...); !errors.Is(err, vm.ErrCanceled) {
 			t.Errorf("%d cells: canceled replay returned %v, want vm.ErrCanceled", n, err)
 		}
 	}
